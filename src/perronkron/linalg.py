@@ -2,16 +2,25 @@
 
 Two scalar modes exist and never mix silently: ``"rational"`` entries are
 ``fractions.Fraction`` and all comparisons are exact; ``"complex"`` entries
-are Python ``complex`` and comparisons use a tolerance.  Rational matrix
-products clear denominators and multiply integer matrices (through numpy
-int64 when the magnitudes allow it), so they stay exact and fast.
+are Python ``complex`` and comparisons use a tolerance.
+
+A matrix computes a dense array form of itself on first use and keeps it
+(``Matrix.array_form``).  In rational mode that is an integer numerator
+array, one positive common denominator and the largest numerator
+magnitude; the array is numpy int64 when that bound allows it and a
+Python-int ``object`` array otherwise.  In complex mode it is a complex
+ndarray.  Rational products multiply the cached numerator arrays (in int64
+only when no partial sum can overflow), so the denominators of a matrix
+are cleared once, not once per product.  The cache assumes that a
+matrix's ``entries`` are never mutated after construction; no code in this
+package does so, and callers must build a new ``Matrix`` instead.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -137,13 +146,26 @@ def ones_vector(n: int, mode: str = RATIONAL) -> Vector:
     return Vector([one] * n, mode)
 
 
-class Matrix:
-    """Dense matrix with a fixed scalar mode; entries stored row-major."""
+class IntegerForm(NamedTuple):
+    """Rational entries as ``num / den`` with one common denominator."""
 
-    __slots__ = ("mode", "entries")
+    num: np.ndarray  # int64, or object (Python ints) when bound >= _INT64_SAFE
+    den: int  # positive
+    bound: int  # largest |numerator|
+
+
+class Matrix:
+    """Dense matrix with a fixed scalar mode; entries stored row-major.
+
+    Matrices are immutable by convention: ``array_form`` caches an array
+    form of ``entries`` on first use.
+    """
+
+    __slots__ = ("mode", "entries", "_form")
 
     def __init__(self, rows: Sequence[Sequence[ScalarInput]], mode: str):
         self.mode = mode
+        self._form = None
         self.entries = [[_coerce(v, mode) for v in row] for row in rows]
         if not self.entries or not self.entries[0]:
             raise ValueError("matrices must be nonempty")
@@ -162,6 +184,16 @@ class Matrix:
     @classmethod
     def identity(cls, n: int, mode: str = RATIONAL) -> "Matrix":
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)], mode)
+
+    def array_form(self) -> Union[IntegerForm, np.ndarray]:
+        """Cached array form: an ``IntegerForm`` in rational mode, a complex
+        ndarray in complex mode."""
+        if self._form is None:
+            if self.mode == RATIONAL:
+                self._form = integer_form(self.entries)
+            else:
+                self._form = np.array(self.entries, dtype=complex)
+        return self._form
 
     @property
     def nrows(self) -> int:
@@ -257,9 +289,7 @@ class Matrix:
             raise ValueError("dimension mismatch")
         if self.mode == RATIONAL:
             return _matmul_rational(self, other)
-        a = np.array(self.entries, dtype=complex)
-        b = np.array(other.entries, dtype=complex)
-        return Matrix((a @ b).tolist(), COMPLEX)
+        return Matrix((self.array_form() @ other.array_form()).tolist(), COMPLEX)
 
 
 def _dot(a, b):
@@ -269,34 +299,40 @@ def _dot(a, b):
     return total
 
 
-def _clear_denominators(rows) -> Tuple[List[List[int]], int]:
+# Integer products run in numpy int64 when no partial result can overflow;
+# otherwise Python big integers (numpy object arrays) take over.
+_INT64_SAFE = 2**62
+
+
+def integer_form(rows) -> IntegerForm:
+    """Clear the denominators of rows of Fractions."""
     den = 1
     for row in rows:
         for v in row:
             den = den * v.denominator // math.gcd(den, v.denominator)
     cleared = [[v.numerator * (den // v.denominator) for v in row] for row in rows]
-    return cleared, den
+    bound = max(abs(v) for row in cleared for v in row)
+    dtype = np.int64 if bound < _INT64_SAFE else object
+    return IntegerForm(np.array(cleared, dtype=dtype), den, bound)
 
 
-# Integer matmul is routed through numpy int64 when products cannot
-# overflow; otherwise pure-Python big integers take over.
-_INT64_SAFE = 2**62
+def integer_product(op, a: np.ndarray, b: np.ndarray, bound: int) -> np.ndarray:
+    """``op(a, b)`` on integer arrays, exact.
+
+    ``bound`` must bound the magnitude of every partial result; below
+    ``_INT64_SAFE`` the operation runs in int64, otherwise on Python ints.
+    """
+    if bound < _INT64_SAFE:
+        return op(a, b)
+    return op(a.astype(object), b.astype(object))
 
 
 def _matmul_rational(A: Matrix, B: Matrix) -> Matrix:
-    ai, da = _clear_denominators(A.entries)
-    bi, db = _clear_denominators(B.entries)
-    inner = A.ncols
-    max_a = max((abs(v) for row in ai for v in row), default=0)
-    max_b = max((abs(v) for row in bi for v in row), default=0)
-    den = da * db
-    if max_a * max_b * inner < _INT64_SAFE:
-        prod = (np.array(ai, dtype=np.int64) @ np.array(bi, dtype=np.int64)).tolist()
-    else:
-        bt = list(zip(*bi))
-        prod = [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in ai]
+    a, b = A.array_form(), B.array_form()
+    prod = integer_product(np.matmul, a.num, b.num, a.bound * b.bound * A.ncols)
+    den = a.den * b.den
     return Matrix(
-        [[Fraction(v, den) for v in row] for row in prod], RATIONAL
+        [[Fraction(v, den) for v in row] for row in prod.tolist()], RATIONAL
     )
 
 
@@ -417,15 +453,6 @@ def matrices_close(A: Matrix, B: Matrix, tol: Tolerance = Tolerance()) -> bool:
         for ra, rb in zip(A.entries, B.entries)
         for a, b in zip(ra, rb)
     )
-
-
-def vectors_close(x: Vector, y: Vector, tol: Tolerance = Tolerance()) -> bool:
-    _require_same_mode(x, y)
-    if x.dim != y.dim:
-        return False
-    if x.mode == RATIONAL:
-        return x == y
-    return all(abs(a - b) <= tol.eps for a, b in zip(x.entries, y.entries))
 
 
 def kron_factor(

@@ -12,14 +12,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional, Tuple
 
+import numpy as np
+
 from .indexing import IndexPair, fold_index
 from .linalg import (
     COMPLEX,
     RATIONAL,
     Matrix,
+    ModeMismatchError,
     Tolerance,
     Vector,
     inf_norm_exact,
+    integer_form,
+    integer_product,
     inverse,
     is_entrywise_nonneg,
     kron,
@@ -37,16 +42,27 @@ class PerronWitness(NamedTuple):
     sign: int
 
 
-def similarity_image(
-    S: Matrix, x: Vector, sinv: Optional[Matrix] = None
-) -> Matrix:
-    """S diag(x) S^{-1}; pass a precomputed inverse to skip elimination."""
+def _similarity_inverse(S: Matrix, x: Vector, sinv: Optional[Matrix]) -> Matrix:
+    """Validate the operands of S diag(x) S^{-1} and return S^{-1}."""
     if not S.is_square:
         raise ValueError("similarity images require square matrices")
     if x.dim != S.nrows:
         raise ValueError("dimension mismatch between matrix and spectrum")
     if sinv is None:
         sinv = inverse(S)
+    for other in (x, sinv):
+        if other.mode != S.mode:
+            raise ModeMismatchError(f"mode mismatch: {S.mode} vs {other.mode}")
+    if sinv.nrows != S.ncols:
+        raise ValueError("dimension mismatch")
+    return sinv
+
+
+def similarity_image(
+    S: Matrix, x: Vector, sinv: Optional[Matrix] = None
+) -> Matrix:
+    """S diag(x) S^{-1}; pass a precomputed inverse to skip elimination."""
+    sinv = _similarity_inverse(S, x, sinv)
     return S.scale_columns(x) @ sinv
 
 
@@ -56,7 +72,30 @@ def in_spectracone(
     tol: Tolerance = Tolerance(),
     sinv: Optional[Matrix] = None,
 ) -> bool:
-    return is_entrywise_nonneg(similarity_image(S, x, sinv), tol)
+    """Whether S diag(x) S^{-1} is entrywise nonnegative.
+
+    Decided on the cached array forms of S and S^{-1} without building the
+    image as a Matrix.  In rational mode the image is
+    (S_num diag(x_num) Sinv_num) divided by three positive denominators, so
+    its sign is that of the integer product.  In complex mode the test of
+    ``is_entrywise_nonneg`` runs on the complex ndarray of the image.
+    ``is_entrywise_nonneg(similarity_image(S, x, sinv), tol)`` is the
+    reference this must agree with.
+    """
+    sinv = _similarity_inverse(S, x, sinv)
+    if S.mode == RATIONAL:
+        s, si = S.array_form(), sinv.array_form()
+        xf = integer_form([x.entries])
+        scaled_bound = s.bound * xf.bound
+        scaled = integer_product(np.multiply, s.num, xf.num, scaled_bound)
+        image = integer_product(
+            np.matmul, scaled, si.num, scaled_bound * si.bound * S.ncols
+        )
+        return bool((image >= 0).all())
+    image = (S.array_form() * np.array(x.entries, dtype=complex)) @ sinv.array_form()
+    return bool(
+        ((np.abs(image.imag) <= tol.eps) & (image.real >= -tol.eps)).all()
+    )
 
 
 def in_spectratope(
@@ -233,8 +272,9 @@ def strict_cone_containment_certificate(
     """
     if S.nrows < 2 or T.nrows < 2:
         raise ValueError("strict containment requires orders at least 2")
-    wS = find_perron_witness(S, tol)
-    wT = find_perron_witness(T, tol)
+    S_inv, T_inv = inverse(S), inverse(T)
+    wS = find_perron_witness(S, tol, S_inv)
+    wT = find_perron_witness(T, tol, T_inv)
     if wS is None or wT is None:
         raise ValueError("both factors must be Perron similarities")
     x = make_totally_nonzero(S, wS, tol)
@@ -247,9 +287,10 @@ def strict_cone_containment_certificate(
     while any(v == 0 for v in zp.entries):
         shift = shift + 1
         zp = z + e.scale(shift)
-    K = kron(S, T)
+    # (S (x) T)^{-1} = S^{-1} (x) T^{-1}: no elimination at order mn.
+    K_inv = kron(S_inv, T_inv)
     evidence = StrictConeEvidence(
-        member=in_spectracone(K, zp, tol),
+        member=in_spectracone(kron(S, T), zp, tol, K_inv),
         factorization_absent=kron_factor(zp, m, n, tol) is None,
         shift=shift,
     )

@@ -25,7 +25,10 @@ def _decode_entry(raw, mode: str):
     if mode == RATIONAL:
         if not isinstance(raw, str):
             raise ValueError(f"rational entries must be 'p/q' strings, got {raw!r}")
-        return Fraction(raw)
+        try:
+            return Fraction(raw)
+        except ZeroDivisionError:
+            raise ValueError(f"rational entry {raw!r} has a zero denominator") from None
     if not (isinstance(raw, (list, tuple)) and len(raw) == 2):
         raise ValueError(f"complex entries must be [re, im] pairs, got {raw!r}")
     return complex(raw[0], raw[1])
