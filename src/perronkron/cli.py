@@ -29,6 +29,11 @@ from .linalg import (
 from .verification import DEFAULT_SEED, run_verification_suite
 
 
+# Largest order `gen` builds: `gen hadamard 11` (order 1024) is the largest
+# Hadamard matrix, and `gen dft`/`gen cycle` stop at 1024.
+MAX_GEN_ORDER = 1024
+
+
 class CliError(Exception):
     """Usage or I/O failure; maps to exit status 2."""
 
@@ -108,17 +113,31 @@ def _emit_matrix(A: Matrix, args) -> int:
     return 0
 
 
+def _check_gen_order(order: int) -> None:
+    if order > MAX_GEN_ORDER:
+        raise CliError(f"gen builds orders up to {MAX_GEN_ORDER}, not {order}")
+
+
 def _cmd_gen(args) -> int:
     family = args.family
     if family == "hadamard":
-        A = families.hadamard_like(int(args.arg))
-    elif family == "dft":
-        A = families.dft(int(args.arg))
-    elif family == "cycle":
-        A = families.cycle_companion(int(args.arg))
+        depth = int(args.arg)
+        # Order 2**(depth - 1) exceeds the limit iff depth - 1 reaches the
+        # limit's bit length, so a huge depth never builds the power.
+        if depth - 1 >= MAX_GEN_ORDER.bit_length():
+            raise CliError(
+                f"gen builds orders up to {MAX_GEN_ORDER}, not 2**{depth - 1}"
+            )
+        A = families.hadamard_like(depth)
+    elif family in ("dft", "cycle"):
+        order = int(args.arg)
+        _check_gen_order(order)
+        build = families.dft if family == "dft" else families.cycle_companion
+        A = build(order)
     elif family == "circulant":
-        entries = [Fraction(part) for part in args.arg.split(",")]
-        A = families.circulant(Vector.rational(entries))
+        parts = args.arg.split(",")
+        _check_gen_order(len(parts))
+        A = families.circulant(Vector.rational([Fraction(part) for part in parts]))
     elif family == "counterexample":
         h2, t = families.counterexample_factors()
         A = kron(h2, t)

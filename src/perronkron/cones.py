@@ -13,6 +13,8 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Callable, List, Literal, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .linalg import (
     COMPLEX,
     RATIONAL,
@@ -20,7 +22,10 @@ from .linalg import (
     ModeMismatchError,
     Tolerance,
     Vector,
+    bareiss_eliminate,
     inf_norm_exact,
+    integer_form,
+    inverse,
     kron,
     kron_factor,
     kron_vec,
@@ -226,30 +231,21 @@ def containment_check(
 
 
 def _null_space(rows: List[List[Fraction]], n: int) -> List[List[Fraction]]:
-    """Basis of the kernel of the given rational row system in dimension n."""
-    mat = [list(r) for r in rows]
-    pivots: List[int] = []
-    r = 0
-    for c in range(n):
-        pivot_row = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
-        piv = mat[r][c]
-        mat[r] = [v / piv for v in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [v - f * p for v, p in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-    free = [c for c in range(n) if c not in pivots]
+    """Basis of the kernel of the given rational row system in dimension n.
+
+    One vector per free column fc of the reduced system, with entry 1 at fc
+    and 0 at the other free columns.
+    """
+    M = np.zeros((len(rows), n), dtype=object)
+    if rows:
+        M[:] = integer_form(rows).num
+    pivots, det = bareiss_eliminate(M)
     basis = []
-    for fc in free:
+    for fc in sorted(set(range(n)) - set(pivots)):
         vec = [Fraction(0)] * n
         vec[fc] = Fraction(1)
         for i, pc in enumerate(pivots):
-            vec[pc] = -mat[i][fc]
+            vec[pc] = Fraction(-M[i, fc], det)
         basis.append(vec)
     return basis
 
@@ -323,12 +319,13 @@ def spectratope_strictness_certificate(
         raise ValueError("strictness certificates require orders at least 2")
     if not 0 < phi < 1:
         raise ValueError("phi and psi = 1 - phi must both be positive")
-    wS = find_perron_witness(S, tol)
-    wT = find_perron_witness(T, tol)
+    S_inv, T_inv = inverse(S), inverse(T)
+    wS = find_perron_witness(S, tol, S_inv)
+    wT = find_perron_witness(T, tol, T_inv)
     if wS is None or wT is None:
         raise ValueError("both factors must be Perron similarities")
-    x = _normalized_nonzero_tope_member(S, wS, tol)
-    y = _normalized_nonzero_tope_member(T, wT, tol)
+    x = _normalized_nonzero_tope_member(S, wS, tol, S_inv)
+    y = _normalized_nonzero_tope_member(T, wT, tol, T_inv)
     z = kron_vec(x, y)
     m, n = S.nrows, T.nrows
     e = ones_vector(m * n, z.mode)
@@ -346,7 +343,8 @@ def spectratope_strictness_certificate(
     else:
         norm_is_one = abs(max(abs(v) for v in zp.entries) - 1.0) <= tol.eps
     evidence = TopeStrictnessEvidence(
-        member_cone=in_spectracone(K, zp, tol),
+        # (S (x) T)^{-1} = S^{-1} (x) T^{-1}: no elimination at order mn.
+        member_cone=in_spectracone(K, zp, tol, kron(S_inv, T_inv)),
         norm_is_one=norm_is_one,
         factorization_absent=kron_factor(zp, m, n, tol) is None,
         phi=phi,
@@ -355,8 +353,10 @@ def spectratope_strictness_certificate(
     return zp, evidence
 
 
-def _normalized_nonzero_tope_member(S: Matrix, w, tol: Tolerance) -> Vector:
-    x = make_totally_nonzero(S, w, tol)
+def _normalized_nonzero_tope_member(
+    S: Matrix, w, tol: Tolerance, sinv: Matrix
+) -> Vector:
+    x = make_totally_nonzero(S, w, tol, sinv)
     if x.mode == RATIONAL:
         return x.scale(Fraction(1) / inf_norm_exact(x))
     return x.scale(1.0 / max(abs(v) for v in x.entries))

@@ -4,7 +4,7 @@ cyclic companion matrices, circulants, and the refutation instance factors.
 from __future__ import annotations
 
 import cmath
-from typing import Tuple
+from typing import Optional, Tuple
 
 from .linalg import COMPLEX, Matrix, Tolerance, Vector, matrices_close
 from .perron import similarity_image
@@ -75,16 +75,19 @@ def circulant(c: Vector) -> Matrix:
     return total
 
 
-def extremal_row_image(n: int, k: int, tol: Tolerance = Tolerance()) -> Matrix:
+def extremal_row_image(
+    n: int, k: int, tol: Tolerance = Tolerance(), sinv: Optional[Matrix] = None
+) -> Matrix:
     """Similarity image of row k of the order-n DFT matrix.
 
     The image must equal the (k-1)-th power of the cycle companion matrix;
-    a mismatch raises VerificationFailedError.
+    a mismatch raises VerificationFailedError.  Pass the inverse of
+    ``dft(n)`` as ``sinv`` to skip elimination.
     """
     if not 1 <= k <= n:
         raise ValueError(f"row index {k} out of range for order {n}")
     F = dft(n)
-    image = similarity_image(F, F.row(k - 1))
+    image = similarity_image(F, F.row(k - 1), sinv)
     C = cycle_companion(n).to_complex()
     expected = Matrix.identity(n, COMPLEX)
     for _ in range(k - 1):

@@ -14,6 +14,15 @@ only when no partial sum can overflow), so the denominators of a matrix
 are cleared once, not once per product.  The cache assumes that a
 matrix's ``entries`` are never mutated after construction; no code in this
 package does so, and callers must build a new ``Matrix`` instead.
+
+Exact elimination has one kernel, ``bareiss_eliminate``: fraction-free
+Gauss-Jordan elimination on Python integers, after E. H. Bareiss,
+"Sylvester's identity and multistep integer-preserving Gaussian
+elimination", Math. Comp. 22 (1968).  Every entry it produces is a minor of
+its input, so each division it makes is exact and no gcd is taken.  The
+rational ``inverse`` runs it on ``[N | I]``, where ``N`` is the cached
+numerator array of ``array_form``; ``cones`` runs it for null spaces.
+Complex mode inverts by Gauss-Jordan with partial pivoting.
 """
 from __future__ import annotations
 
@@ -367,32 +376,82 @@ def diag_kron_identity(x: Vector, y: Vector) -> bool:
     return kron(diag_embed(x), diag_embed(y)) == diag_embed(kron_vec(x, y))
 
 
-def inverse(S: Matrix) -> Matrix:
-    """Gauss-Jordan inverse; exact in rational mode.
+def bareiss_eliminate(M: np.ndarray) -> Tuple[List[int], int]:
+    """Fraction-free Gauss-Jordan elimination of an integer array, in place.
 
-    Pivoting: first nonzero entry in rational mode, maximum modulus in
-    complex mode.
+    ``M`` is a numpy ``object`` array of Python ints.  Columns are taken in
+    order; each pivots on its first nonzero entry at or below the rows
+    already pivoted, and a column without one is skipped.  A pivot step
+    with pivot p, after the previous pivot ``prev``, replaces every other
+    row by ``(p * row - row[c] * pivot_row) // prev``, one row at a time;
+    the division is exact by Sylvester's identity.
+
+    Returns the pivot columns, in the order of their pivot rows, and the
+    last pivot (1 if there is none).  On return the rows holding pivots
+    come first, each has the last pivot in its own pivot column and zeros
+    in the other pivot columns, and the remaining rows are zero.
+    """
+    nrows, ncols = M.shape
+    pivots: List[int] = []
+    prev = 1
+    for c in range(ncols):
+        r = len(pivots)
+        if r == nrows:
+            break
+        nonzero = np.flatnonzero(M[r:, c])
+        if not len(nonzero):
+            continue
+        k = r + int(nonzero[0])
+        if k != r:
+            M[[r, k]] = M[[k, r]]
+        p = M[r, c]
+        pivot_row = M[r]
+        for i in range(nrows):
+            if i == r:
+                continue
+            f = M[i, c]
+            if f:
+                M[i] = (p * M[i] - f * pivot_row) // prev
+            elif p != prev:
+                M[i] = p * M[i] // prev
+        pivots.append(c)
+        prev = p
+    return pivots, prev
+
+
+def inverse(S: Matrix) -> Matrix:
+    """Exact inverse in rational mode, Gauss-Jordan inverse in complex mode.
+
+    Rational mode eliminates ``[N | I]`` with ``bareiss_eliminate``, where
+    S = N / d; the left block ends as det * I and S^{-1} is d / det times
+    the right block.  Pivoting: first nonzero entry in rational mode,
+    maximum modulus in complex mode.  Either way a singular matrix raises
+    ``SingularMatrixError`` naming the first column without a pivot.
     """
     if not S.is_square:
         raise ValueError("only square matrices are invertible")
     n = S.nrows
-    mode = S.mode
-    one = Fraction(1) if mode == RATIONAL else complex(1)
-    zero = Fraction(0) if mode == RATIONAL else complex(0)
+    if S.mode == RATIONAL:
+        form = S.array_form()
+        aug = np.zeros((n, 2 * n), dtype=object)
+        aug[:, :n] = form.num
+        aug[:, n:] = np.identity(n, dtype=int)
+        pivots, det = bareiss_eliminate(aug)
+        if pivots[:n] != list(range(n)):
+            col = next(c for c, p in enumerate(pivots + [n]) if c != p)
+            raise SingularMatrixError(f"no pivot in column {col + 1}")
+        d = form.den
+        return Matrix(
+            [[Fraction(v * d, det) for v in row[n:]] for row in aug.tolist()],
+            RATIONAL,
+        )
     aug = [
-        list(row) + [one if i == j else zero for j in range(n)]
+        list(row) + [complex(i == j) for j in range(n)]
         for i, row in enumerate(S.entries)
     ]
     for col in range(n):
-        if mode == RATIONAL:
-            pivot_row = next(
-                (r for r in range(col, n) if aug[r][col] != 0), None
-            )
-        else:
-            pivot_row = max(range(col, n), key=lambda r: abs(aug[r][col]))
-            if abs(aug[pivot_row][col]) == 0:
-                pivot_row = None
-        if pivot_row is None:
+        pivot_row = max(range(col, n), key=lambda r: abs(aug[r][col]))
+        if abs(aug[pivot_row][col]) == 0:
             raise SingularMatrixError(f"no pivot in column {col + 1}")
         aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
         piv = aug[col][col]
@@ -401,7 +460,7 @@ def inverse(S: Matrix) -> Matrix:
             if r != col and aug[r][col] != 0:
                 factor = aug[r][col]
                 aug[r] = [v - factor * p for v, p in zip(aug[r], aug[col])]
-    return Matrix([row[n:] for row in aug], mode)
+    return Matrix([row[n:] for row in aug], COMPLEX)
 
 
 def p_norm(x: Vector, p: Union[int, float]) -> float:

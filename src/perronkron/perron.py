@@ -227,7 +227,10 @@ def verify_strong_certificate(
 
 
 def make_totally_nonzero(
-    S: Matrix, w: PerronWitness, tol: Tolerance = Tolerance()
+    S: Matrix,
+    w: PerronWitness,
+    tol: Tolerance = Tolerance(),
+    sinv: Optional[Matrix] = None,
 ) -> Vector:
     """Totally nonzero, non-constant spectracone member built from a witness.
 
@@ -235,7 +238,7 @@ def make_totally_nonzero(
     and is convex), has no zero entries, and is not a multiple of e when
     the order is at least 2.
     """
-    if not witness_is_valid(S, w, tol):
+    if not witness_is_valid(S, w, tol, sinv):
         raise ValueError(f"{w} is not a valid witness for this matrix")
     n = S.nrows
     if S.mode == RATIONAL:
@@ -277,8 +280,8 @@ def strict_cone_containment_certificate(
     wT = find_perron_witness(T, tol, T_inv)
     if wS is None or wT is None:
         raise ValueError("both factors must be Perron similarities")
-    x = make_totally_nonzero(S, wS, tol)
-    y = make_totally_nonzero(T, wT, tol)
+    x = make_totally_nonzero(S, wS, tol, S_inv)
+    y = make_totally_nonzero(T, wT, tol, T_inv)
     z = kron_vec(x, y)
     m, n = S.nrows, T.nrows
     shift = Fraction(1) if z.mode == RATIONAL else complex(1)

@@ -9,10 +9,15 @@ entry encoding with ``{"mode", "dim", "data"}``.
 from __future__ import annotations
 
 import json
+import math
+import re
 from fractions import Fraction
 from typing import Any, Dict
 
 from .linalg import COMPLEX, RATIONAL, Matrix, Vector
+
+# Exactly what _encode_entry writes: ASCII digits, no sign on 0, q >= 1.
+_RATIONAL_ENTRY = re.compile(r"(0|-?[1-9][0-9]*)/([1-9][0-9]*)")
 
 
 def _encode_entry(value, mode: str):
@@ -22,16 +27,43 @@ def _encode_entry(value, mode: str):
 
 
 def _decode_entry(raw, mode: str):
+    """Inverse of ``_encode_entry``; anything it would not write is rejected."""
     if mode == RATIONAL:
-        if not isinstance(raw, str):
-            raise ValueError(f"rational entries must be 'p/q' strings, got {raw!r}")
-        try:
-            return Fraction(raw)
-        except ZeroDivisionError:
-            raise ValueError(f"rational entry {raw!r} has a zero denominator") from None
-    if not (isinstance(raw, (list, tuple)) and len(raw) == 2):
-        raise ValueError(f"complex entries must be [re, im] pairs, got {raw!r}")
-    return complex(raw[0], raw[1])
+        match = _RATIONAL_ENTRY.fullmatch(raw) if isinstance(raw, str) else None
+        if match is None:
+            raise ValueError(
+                f"rational entries must be 'p/q' strings with q > 0, got {raw!r}"
+            )
+        p, q = int(match[1]), int(match[2])
+        if math.gcd(p, q) != 1:
+            raise ValueError(f"rational entry {raw!r} is not in lowest terms")
+        return Fraction(p, q)
+    if not (
+        isinstance(raw, (list, tuple))
+        and len(raw) == 2
+        and all(type(part) in (int, float) for part in raw)
+    ):
+        raise ValueError(f"complex entries must be [re, im] number pairs, got {raw!r}")
+    try:
+        return complex(raw[0], raw[1])
+    except OverflowError:
+        raise ValueError(f"complex entry {raw!r} is out of range") from None
+
+
+def _size(obj: Dict[str, Any], key: str) -> int:
+    value = obj[key]
+    if type(value) is not int or value < 1:
+        raise ValueError(f"{key!r} must be a positive integer, got {value!r}")
+    return value
+
+
+def _data(obj: Dict[str, Any], expected: int) -> list:
+    data = obj["data"]
+    if not isinstance(data, list):
+        raise ValueError(f"'data' must be a list, got {type(data).__name__}")
+    if len(data) != expected:
+        raise ValueError(f"expected {expected} entries, got {len(data)}")
+    return data
 
 
 def matrix_to_dict(A: Matrix) -> Dict[str, Any]:
@@ -47,11 +79,8 @@ def matrix_from_dict(obj: Dict[str, Any]) -> Matrix:
     mode = obj["mode"]
     if mode not in (RATIONAL, COMPLEX):
         raise ValueError(f"unknown mode {mode!r}")
-    m, n = obj["rows"], obj["cols"]
-    data = obj["data"]
-    if len(data) != m * n:
-        raise ValueError(f"expected {m * n} entries, got {len(data)}")
-    entries = [_decode_entry(v, mode) for v in data]
+    m, n = _size(obj, "rows"), _size(obj, "cols")
+    entries = [_decode_entry(v, mode) for v in _data(obj, m * n)]
     return Matrix([entries[i * n : (i + 1) * n] for i in range(m)], mode)
 
 
@@ -67,9 +96,7 @@ def vector_from_dict(obj: Dict[str, Any]) -> Vector:
     mode = obj["mode"]
     if mode not in (RATIONAL, COMPLEX):
         raise ValueError(f"unknown mode {mode!r}")
-    data = obj["data"]
-    if len(data) != obj["dim"]:
-        raise ValueError(f"expected {obj['dim']} entries, got {len(data)}")
+    data = _data(obj, _size(obj, "dim"))
     return Vector([_decode_entry(v, mode) for v in data], mode)
 
 

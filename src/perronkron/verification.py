@@ -40,16 +40,28 @@ def _catalog() -> List[Tuple[str, Matrix]]:
 
 
 class _PairData:
-    """Kronecker product of a catalog pair with its (blockwise) inverse."""
+    """Kronecker product of a catalog pair with its (blockwise) inverse.
 
-    def __init__(self, S: Matrix, T: Matrix):
+    A pair of mixed modes is lifted to complex mode.  ``inverses`` maps
+    matrices to their inverses; pairs that share it invert each distinct
+    matrix once.
+    """
+
+    def __init__(
+        self, S: Matrix, T: Matrix, inverses: Optional[Dict[Matrix, Matrix]] = None
+    ):
         if S.mode != T.mode:
             S, T = S.to_complex(), T.to_complex()
+        if inverses is None:
+            inverses = {}
+        for M in (S, T):
+            if M not in inverses:
+                inverses[M] = inverse(M)
         self.S = S
         self.T = T
         self.K = kron(S, T)
-        self.S_inv = inverse(S)
-        self.T_inv = inverse(T)
+        self.S_inv = inverses[S]
+        self.T_inv = inverses[T]
         self.K_inv = kron(self.S_inv, self.T_inv)
 
 
@@ -188,19 +200,23 @@ def _check_kron_witnesses(
 
 
 def _check_totally_nonzero(
-    findings: Dict[str, object], catalog: List[Tuple[str, Matrix]], tol: Tolerance
+    findings: Dict[str, object],
+    catalog: List[Tuple[str, Matrix]],
+    inverses: Dict[Matrix, Matrix],
+    tol: Tolerance,
 ) -> None:
     ok = True
     for name, S in catalog:
-        w = perron.find_perron_witness(S, tol)
+        S_inv = inverses[S]
+        w = perron.find_perron_witness(S, tol, S_inv)
         if w is None:
             ok = False
             continue
-        x = perron.make_totally_nonzero(S, w, tol)
+        x = perron.make_totally_nonzero(S, w, tol, S_inv)
         entries = x.entries
         nonconstant = any(v != entries[0] for v in entries)
         if not (
-            perron.in_spectracone(S, x, tol)
+            perron.in_spectracone(S, x, tol, S_inv)
             and all(v != 0 for v in entries)
             and nonconstant
         ):
@@ -288,9 +304,10 @@ def _check_digraphs(findings: Dict[str, object], tol: Tolerance) -> None:
 
     ok = True
     for n in range(1, 9):
+        F_inv = inverse(families.dft(n))
         for k in range(1, n + 1):
             try:
-                families.extremal_row_image(n, k, tol)
+                families.extremal_row_image(n, k, tol, F_inv)
             except families.VerificationFailedError:
                 ok = False
     findings["dft_extremal_row_images"] = ok
@@ -343,15 +360,16 @@ def run_verification_suite(
     findings: Dict[str, object] = {}
 
     catalog = _catalog()
+    inverses: Dict[Matrix, Matrix] = {}
     pairs: Dict[Tuple[str, str], _PairData] = {
-        (ns, nt): _PairData(S, T) for ns, S in catalog for nt, T in catalog
+        (ns, nt): _PairData(S, T, inverses) for ns, S in catalog for nt, T in catalog
     }
 
     _check_index_lemmas(findings)
     _check_kron_identities(findings, rng)
     _check_kron_membership(findings, pairs, rng, tol)
     _check_kron_witnesses(findings, pairs, tol)
-    _check_totally_nonzero(findings, catalog, tol)
+    _check_totally_nonzero(findings, catalog, inverses, tol)
     _check_strict_containment(findings, pairs, tol)
     _check_counterexample(findings)
     _check_ideal(findings, pairs, tol)

@@ -1,0 +1,211 @@
+"""Differential tests of the fraction-free (Bareiss) elimination kernel.
+
+The reference oracles below are the Fraction Gauss-Jordan loops that
+``linalg.inverse`` and ``cones._null_space`` used before both moved onto
+``linalg.bareiss_eliminate``.  They live here, not in the library.
+"""
+import random
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from perronkron.cones import _null_space
+from perronkron.families import hadamard_like
+from perronkron.linalg import (
+    Matrix,
+    SingularMatrixError,
+    bareiss_eliminate,
+    integer_form,
+    inverse,
+)
+
+
+def _oracle_inverse(S: Matrix) -> Matrix:
+    """Gauss-Jordan over Fractions, pivoting on the first nonzero entry."""
+    n = S.nrows
+    aug = [
+        list(row) + [Fraction(int(i == j)) for j in range(n)]
+        for i, row in enumerate(S.entries)
+    ]
+    for col in range(n):
+        pivot_row = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        if pivot_row is None:
+            raise SingularMatrixError(f"no pivot in column {col + 1}")
+        aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
+        piv = aug[col][col]
+        aug[col] = [v / piv for v in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                factor = aug[r][col]
+                aug[r] = [v - factor * p for v, p in zip(aug[r], aug[col])]
+    return Matrix.rational([row[n:] for row in aug])
+
+
+def _oracle_null_space(rows, n):
+    """Reduced row echelon form over Fractions; one vector per free column."""
+    mat = [list(r) for r in rows]
+    pivots = []
+    r = 0
+    for c in range(n):
+        pivot_row = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
+        piv = mat[r][c]
+        mat[r] = [v / piv for v in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][c] != 0:
+                f = mat[i][c]
+                mat[i] = [v - f * p for v, p in zip(mat[i], mat[r])]
+        pivots.append(c)
+        r += 1
+    basis = []
+    for fc in [c for c in range(n) if c not in pivots]:
+        vec = [Fraction(0)] * n
+        vec[fc] = Fraction(1)
+        for i, pc in enumerate(pivots):
+            vec[pc] = -mat[i][fc]
+        basis.append(vec)
+    return basis
+
+
+def _outcome(invert, S):
+    try:
+        return invert(S).entries
+    except SingularMatrixError as exc:
+        return f"SingularMatrixError: {exc}"
+
+
+def _random_rows(rng, m, n, rank, lo=-6, hi=6):
+    """m rows of width n spanning a space of dimension at most rank."""
+    base = [
+        [Fraction(rng.randint(lo, hi), rng.randint(1, 5)) for _ in range(n)]
+        for _ in range(rank)
+    ]
+    rows = list(base)
+    while len(rows) < m:
+        if base:
+            a, b = Fraction(rng.randint(-3, 3), rng.randint(1, 3)), Fraction(rng.randint(-2, 2))
+            r1, r2 = rng.choice(base), rng.choice(base)
+            new = [a * x + b * y for x, y in zip(r1, r2)]
+        else:
+            new = [Fraction(0)] * n
+        rows.insert(rng.randint(0, len(rows)), new)
+    return rows
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_inverse_matches_oracle_on_seeded_matrices(n):
+    rng = random.Random(1000 + n)
+    singular = 0
+    for trial in range(12):
+        rank = n if trial % 3 else rng.randint(0, n - 1)
+        S = Matrix.rational(_random_rows(rng, n, n, rank))
+        expected = _outcome(_oracle_inverse, S)
+        assert _outcome(inverse, S) == expected
+        singular += isinstance(expected, str)
+    assert singular >= 4  # every third case is rank deficient
+
+
+def test_inverse_matches_oracle_on_sparse_matrices():
+    """Zero patterns force row swaps and late pivots."""
+    rng = random.Random(7)
+    for _ in range(200):
+        n = rng.randint(1, 7)
+        S = Matrix.rational(
+            [
+                [rng.choice([0, 0, 0, 1, -1, Fraction(1, 2)]) for _ in range(n)]
+                for _ in range(n)
+            ]
+        )
+        assert _outcome(inverse, S) == _outcome(_oracle_inverse, S)
+
+
+def test_singular_message_names_first_column_without_pivot():
+    S = Matrix.rational([[1, 2, 3], [2, 4, 5], [3, 6, 7]])
+    with pytest.raises(SingularMatrixError, match="no pivot in column 2"):
+        inverse(S)
+    with pytest.raises(SingularMatrixError, match="no pivot in column 1"):
+        inverse(Matrix.rational([[0, 1], [0, 2]]))
+    with pytest.raises(SingularMatrixError, match="no pivot in column 1"):
+        inverse(Matrix.rational([[0]]))
+
+
+@pytest.mark.parametrize("depth", range(2, 8))
+def test_hadamard_inverse_is_scaled_hadamard(depth):
+    H = hadamard_like(depth)
+    assert inverse(H) == H.scale(Fraction(1, H.nrows))
+
+
+def test_inverse_with_entries_near_2_to_80():
+    rng = random.Random(80)
+    big = 2**80
+    for n in (1, 2, 3, 5):
+        S = Matrix.rational(
+            [
+                [
+                    Fraction(big + rng.randint(-99, 99), big - rng.randint(1, 99))
+                    * rng.choice([1, -1])
+                    for _ in range(n)
+                ]
+                for _ in range(n)
+            ]
+        )
+        assert S.array_form().num.dtype == object
+        assert _outcome(inverse, S) == _outcome(_oracle_inverse, S)
+    S = Matrix.rational([[big, 1], [1, big - 1]])
+    assert inverse(S) == _oracle_inverse(S)
+    assert S @ inverse(S) == Matrix.identity(2)
+
+
+def test_null_space_matches_oracle_on_rectangular_systems():
+    rng = random.Random(11)
+    for _ in range(400):
+        n = rng.randint(1, 7)
+        m = rng.randint(0, 8)
+        rank = rng.randint(0, min(m, n))
+        rows = _random_rows(rng, m, n, rank)
+        got = _null_space(rows, n)
+        assert got == _oracle_null_space(rows, n)
+        assert all(type(v) is Fraction for vec in got for v in vec)
+
+
+def test_null_space_edge_cases():
+    assert _null_space([], 3) == _oracle_null_space([], 3)
+    zero = [[Fraction(0)] * 3] * 2
+    assert _null_space(zero, 3) == _oracle_null_space(zero, 3)
+    big = [[Fraction(2**80 + 1, 3), Fraction(-(2**79)), Fraction(5, 2**81)]]
+    assert _null_space(big, 3) == _oracle_null_space(big, 3)
+
+
+def test_kernel_invariant_each_pivot_row_ends_with_last_pivot():
+    rng = random.Random(3)
+    for _ in range(150):
+        m, n = rng.randint(1, 6), rng.randint(1, 8)
+        rows = _random_rows(rng, m, n, rng.randint(0, min(m, n)))
+        M = integer_form(rows).num.astype(object)
+        pivots, last = bareiss_eliminate(M)
+        assert all(type(v) is int for v in M.ravel())
+        assert pivots == sorted(set(pivots))
+        for i, pc in enumerate(pivots):
+            assert M[i, pc] == last != 0
+            assert all(M[j, pc] == 0 for j in range(m) if j != i)
+        assert all(v == 0 for v in M[len(pivots):].ravel())
+        # Same row space as the input: equal reduced null spaces.
+        reduced = [[Fraction(v) for v in row] for row in M.tolist()]
+        assert _oracle_null_space(reduced, n) == _oracle_null_space(rows, n)
+
+
+def test_kernel_last_pivot_is_determinant_up_to_sign():
+    rng = random.Random(5)
+    for _ in range(50):
+        n = rng.randint(1, 6)
+        A = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+        M = np.array(A, dtype=object)
+        pivots, last = bareiss_eliminate(M)
+        det = round(np.linalg.det(np.array(A, dtype=float)))
+        if len(pivots) == n:
+            assert abs(last) == abs(det)
+        else:
+            assert det == 0
