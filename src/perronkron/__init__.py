@@ -38,7 +38,6 @@ from .perron import (
 from .cones import (
     ConeGenerators,
     coni_member,
-    containment_check,
     conv_member,
     enumerate_extreme_rays,
     kron_generator_set,

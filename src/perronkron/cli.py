@@ -394,8 +394,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    args.tolerance = Tolerance(args.tol)
     try:
+        args.tolerance = Tolerance(args.tol)
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -2,16 +2,20 @@
 generator sets, and polyhedral cross-checks.
 
 Membership is decided by a phase-one simplex over exact rationals with
-Bland's anti-cycling rule.  Complex-mode systems are split into real and
-imaginary rows (with float coefficients lifted exactly into rationals)
-and each equality is relaxed to a band of width eps via slack variables.
+Bland's anti-cycling rule.  Each tableau row is held as a list of Python
+ints with its own positive denominator, so a pivot updates integers and
+takes one gcd per row, not one per entry.  Complex-mode systems are split
+into real and imaginary rows (with float coefficients lifted exactly into
+rationals) and each equality is relaxed to a band of width eps via slack
+variables.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable, List, Literal, Optional, Sequence, Tuple
+from typing import List, Literal, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -80,68 +84,88 @@ def _phase_one_feasible(
 
     Phase-one simplex with artificial variables and Bland's rule (smallest
     eligible entering index; ties in the ratio test broken by smallest
-    basic variable index).
+    basic variable index).  Each tableau row, and the objective row, is a
+    list of ints R with its own positive denominator d, standing for R/d.
     """
     m = len(A)
     n = len(A[0]) if m else 0
-    rows = []
-    rhs = []
-    for i in range(m):
-        if b[i] < 0:
-            rows.append([-v for v in A[i]])
-            rhs.append(-b[i])
-        else:
-            rows.append(list(A[i]))
-            rhs.append(b[i])
+    total_cols = n + m
     # Tableau columns: n structural vars, then m artificials, then rhs.
-    tab = [
-        rows[i] + [Fraction(int(i == j)) for j in range(m)] + [rhs[i]]
-        for i in range(m)
-    ]
+    rows: List[List[int]] = []
+    dens: List[int] = []
+    for i in range(m):
+        values = list(A[i]) + [b[i]]
+        d = math.lcm(*(v.denominator for v in values))
+        sign = -1 if b[i] < 0 else 1
+        row = [sign * v.numerator * (d // v.denominator) for v in values]
+        row[n:n] = [d if j == i else 0 for j in range(m)]
+        rows.append(row)
+        dens.append(d)
     basis = [n + i for i in range(m)]
     # Objective row for minimizing the artificial sum, kept in reduced form:
     # structural columns start at the column sums, artificial columns at 0.
-    obj = [sum(tab[i][j] for i in range(m)) for j in range(n)]
-    obj += [Fraction(0)] * m
-    obj.append(sum(rhs))
-    total_cols = n + m
+    obj_den = math.lcm(*dens)
+    weights = [obj_den // d for d in dens]
+    obj = [sum(w * row[j] for w, row in zip(weights, rows)) for j in range(n)]
+    obj += [0] * m
+    obj.append(sum(w * row[total_cols] for w, row in zip(weights, rows)))
+    obj, obj_den = _reduced(obj, obj_den)
     while True:
+        # Denominators are positive, so each sign is the numerator's.
         entering = next((j for j in range(total_cols) if obj[j] > 0), None)
         if entering is None:
             break
         leaving = None
-        best_ratio = None
-        for i in range(m):
-            coeff = tab[i][entering]
+        for i, row in enumerate(rows):
+            coeff = row[entering]
             if coeff > 0:
-                ratio = tab[i][total_cols] / coeff
-                if (
-                    best_ratio is None
-                    or ratio < best_ratio
-                    or (ratio == best_ratio and basis[i] < basis[leaving])
-                ):
-                    best_ratio = ratio
-                    leaving = i
+                if leaving is None:
+                    better = True
+                else:
+                    # The row denominator cancels from rhs/coeff, so compare
+                    # two ratios by cross-multiplying positive coefficients.
+                    left, right = row[total_cols] * best_coeff, best_rhs * coeff
+                    better = left < right or (
+                        left == right and basis[i] < basis[leaving]
+                    )
+                if better:
+                    leaving, best_rhs, best_coeff = i, row[total_cols], coeff
         if leaving is None:
             # Unbounded artificial objective cannot occur; defensive only.
             return None
-        piv = tab[leaving][entering]
-        tab[leaving] = [v / piv for v in tab[leaving]]
+        pivot = rows[leaving]
+        p = pivot[entering]
+        dens[leaving] = p
         for i in range(m):
-            if i != leaving and tab[i][entering] != 0:
-                f = tab[i][entering]
-                tab[i] = [v - f * p for v, p in zip(tab[i], tab[leaving])]
-        if obj[entering] != 0:
-            f = obj[entering]
-            obj = [v - f * p for v, p in zip(obj, tab[leaving])]
+            f = rows[i][entering]
+            if i != leaving and f != 0:
+                rows[i], dens[i] = _eliminated(rows[i], dens[i], f, pivot, p)
+        obj, obj_den = _eliminated(obj, obj_den, obj[entering], pivot, p)
         basis[leaving] = entering
     if obj[total_cols] != 0:
         return None
     lam = [Fraction(0)] * n
     for i, var in enumerate(basis):
         if var < n:
-            lam[var] = tab[i][total_cols]
+            lam[var] = Fraction(rows[i][total_cols], dens[i])
     return lam
+
+
+def _eliminated(
+    row: List[int], d: int, f: int, pivot: List[int], p: int
+) -> Tuple[List[int], int]:
+    """(row/d) - (f/d) * (pivot/p) as ints over one denominator."""
+    g = math.gcd(p, f)
+    p, f = p // g, f // g
+    return _reduced([p * v - f * w for v, w in zip(row, pivot)], d * p)
+
+
+def _reduced(row: List[int], d: int) -> Tuple[List[int], int]:
+    """row/d with the common factor of its ints and d divided out."""
+    g = math.gcd(*row, d)
+    if g == 1:
+        return row, d
+    return [v // g for v in row], d // g
 
 
 def _membership_system(
@@ -220,14 +244,6 @@ def kron_generator_set(U: ConeGenerators, V: ConeGenerators) -> ConeGenerators:
     return ConeGenerators(
         tuple(kron_vec(u, v) for u in U.vectors for v in V.vectors), U.hull_kind
     )
-
-
-def containment_check(
-    inner: ConeGenerators, outer_membership: Callable[[Vector], bool]
-) -> bool:
-    """Hull containment via generators: every inner generator must satisfy
-    the outer membership predicate."""
-    return all(outer_membership(g) for g in inner.vectors)
 
 
 def _null_space(rows: List[List[Fraction]], n: int) -> List[List[Fraction]]:

@@ -54,8 +54,8 @@ class Tolerance:
     eps: float = 1e-9
 
     def __post_init__(self):
-        if self.eps < 0:
-            raise ValueError("tolerance must be nonnegative")
+        if not (math.isfinite(self.eps) and self.eps >= 0):
+            raise ValueError(f"tolerance must be finite and nonnegative, not {self.eps}")
 
 
 def _coerce(value: ScalarInput, mode: str):

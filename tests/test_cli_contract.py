@@ -3,9 +3,12 @@ seed-42 verify-paper report is byte-stable."""
 import hashlib
 import json
 
+import pytest
+
 from perronkron.cli import main
-from perronkron.families import hadamard_like
-from perronkron.serialize import matrix_to_json
+from perronkron.families import dft, hadamard_like
+from perronkron.linalg import Tolerance
+from perronkron.serialize import matrix_to_json, vector_to_dict
 
 # sha256 of the stdout of `perronkron --seed 42 verify-paper`.
 VERIFY_PAPER_SEED_42_SHA256 = (
@@ -42,3 +45,29 @@ def test_verify_paper_seed_42_report_is_pinned(capsys):
     assert main(["--seed", "42", "verify-paper"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_PAPER_SEED_42_SHA256
+
+
+@pytest.mark.parametrize("eps", [-1.0, float("inf"), float("-inf"), float("nan")])
+def test_tolerance_rejects_negative_and_non_finite(eps):
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        Tolerance(eps)
+
+
+@pytest.mark.parametrize("tol", ["-1", "inf", "nan", "-inf"])
+def test_bad_tol_exits_2_before_any_verb_runs(tmp_path, capsys, tol):
+    F = dft(3)
+    generators = tmp_path / "f3.json"
+    generators.write_text(matrix_to_json(F))
+    point = tmp_path / "x.json"
+    point.write_text(json.dumps(vector_to_dict(F.row(1))))
+    for verb in (
+        ["verify-paper"],
+        ["coni-member", str(generators), str(point)],
+        ["conv-member", str(generators), str(point)],
+        ["cone-member", str(generators), str(point)],
+    ):
+        code = main([f"--tol={tol}", *verb])
+        captured = capsys.readouterr()
+        _assert_one_line_error(code, captured.err)
+        assert "tolerance" in captured.err
+        assert captured.out == ""

@@ -8,7 +8,6 @@ from perronkron.cones import (
     _canonical_ray,
     coni_coefficients,
     coni_member,
-    containment_check,
     conv_member,
     enumerate_extreme_rays,
     kron_generator_set,
@@ -28,6 +27,12 @@ from perronkron.perron import cone_inequalities, in_spectracone
 
 H2 = hadamard_like(2)
 H2_ROWS = ConeGenerators.from_rows(H2)
+
+
+def containment_check(inner: ConeGenerators, outer_membership) -> bool:
+    """Hull containment via generators: every inner generator must satisfy
+    the outer membership predicate."""
+    return all(outer_membership(g) for g in inner.vectors)
 
 
 def combine(vectors, weights):

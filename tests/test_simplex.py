@@ -1,0 +1,212 @@
+"""Differential tests of the integer-row phase-one simplex.
+
+The reference oracle below is the Fraction tableau that
+``cones._phase_one_feasible`` used before its rows became lists of ints,
+each with its own denominator.  It lives here, not in the library.  Every
+test compares the coefficient vectors exactly, not only feasibility.
+"""
+import random
+from fractions import Fraction
+
+import pytest
+
+from perronkron.cones import (
+    ConeGenerators,
+    _membership_system,
+    _phase_one_feasible,
+    kron_generator_set,
+)
+from perronkron.families import dft, hadamard_like
+from perronkron.linalg import Tolerance, Vector
+
+
+def _oracle_phase_one(A, b):
+    """Phase-one simplex over Fractions with Bland's rule (smallest entering
+    index; ratio ties broken by the smallest basic variable index)."""
+    m = len(A)
+    n = len(A[0]) if m else 0
+    rows = []
+    rhs = []
+    for i in range(m):
+        if b[i] < 0:
+            rows.append([-v for v in A[i]])
+            rhs.append(-b[i])
+        else:
+            rows.append(list(A[i]))
+            rhs.append(b[i])
+    tab = [
+        rows[i] + [Fraction(int(i == j)) for j in range(m)] + [rhs[i]]
+        for i in range(m)
+    ]
+    basis = [n + i for i in range(m)]
+    obj = [sum(tab[i][j] for i in range(m)) for j in range(n)]
+    obj += [Fraction(0)] * m
+    obj.append(sum(rhs))
+    total_cols = n + m
+    while True:
+        entering = next((j for j in range(total_cols) if obj[j] > 0), None)
+        if entering is None:
+            break
+        leaving = None
+        best_ratio = None
+        for i in range(m):
+            coeff = tab[i][entering]
+            if coeff > 0:
+                ratio = tab[i][total_cols] / coeff
+                if (
+                    best_ratio is None
+                    or ratio < best_ratio
+                    or (ratio == best_ratio and basis[i] < basis[leaving])
+                ):
+                    best_ratio = ratio
+                    leaving = i
+        if leaving is None:
+            return None
+        piv = tab[leaving][entering]
+        tab[leaving] = [v / piv for v in tab[leaving]]
+        for i in range(m):
+            if i != leaving and tab[i][entering] != 0:
+                f = tab[i][entering]
+                tab[i] = [v - f * p for v, p in zip(tab[i], tab[leaving])]
+        if obj[entering] != 0:
+            f = obj[entering]
+            obj = [v - f * p for v, p in zip(obj, tab[leaving])]
+        basis[leaving] = entering
+    if obj[total_cols] != 0:
+        return None
+    lam = [Fraction(0)] * n
+    for i, var in enumerate(basis):
+        if var < n:
+            lam[var] = tab[i][total_cols]
+    return lam
+
+
+def _assert_matches_oracle(A, b):
+    got = _phase_one_feasible(A, b)
+    assert got == _oracle_phase_one(A, b)
+    if got is not None:
+        assert all(type(v) is Fraction and v >= 0 for v in got)
+        assert [sum(a * v for a, v in zip(row, got)) for row in A] == list(b)
+    return got
+
+
+def _random_lp(rng):
+    """A small system with repeated ratios, zero and duplicate rows, and
+    right-hand sides of either sign."""
+    m, n = rng.randint(1, 6), rng.randint(1, 8)
+    entries = [0, 0, 1, -1, 2, -2, Fraction(1, 2), Fraction(-1, 3)]
+    A = [[Fraction(rng.choice(entries)) for _ in range(n)] for _ in range(m)]
+    if rng.random() < 0.5:
+        # Feasible by construction: b = A lam0 for a sparse lam0 >= 0.
+        lam0 = [Fraction(rng.choice([0, 0, 1, 2, Fraction(1, 2)])) for _ in range(n)]
+        b = [sum(a * v for a, v in zip(row, lam0)) for row in A]
+    else:
+        b = [Fraction(rng.choice([0, 1, -1, 2, -3, Fraction(3, 2)])) for _ in range(m)]
+    if m > 1 and rng.random() < 0.3:
+        k = rng.randrange(m)
+        A[k] = [Fraction(0)] * n
+        b[k] = Fraction(rng.choice([0, 0, 1]))
+    if m > 1 and rng.random() < 0.3:
+        src, dst = rng.sample(range(m), 2)
+        A[dst], b[dst] = list(A[src]), b[src]
+    return A, b
+
+
+def test_matches_oracle_on_seeded_random_lps():
+    rng = random.Random(2024)
+    feasible = infeasible = negative_rhs = 0
+    for _ in range(1500):
+        A, b = _random_lp(rng)
+        got = _assert_matches_oracle(A, b)
+        feasible += got is not None
+        infeasible += got is None
+        negative_rhs += got is not None and any(v < 0 for v in b)
+    assert feasible >= 300 and infeasible >= 300 and negative_rhs >= 50
+
+
+def test_matches_oracle_on_degenerate_ratio_ties():
+    """Wide nonnegative systems with small integer entries: many rows tie
+    in the ratio test, often after pivots have reordered the basis, so the
+    basis-index tie-break decides which feasible vertex is returned."""
+    rng = random.Random(1)
+    for _ in range(400):
+        m, n = rng.randint(5, 9), rng.randint(8, 16)
+        A = [[Fraction(rng.choice([0, 1, 1, 1, 2])) for _ in range(n)] for _ in range(m)]
+        lam0 = [Fraction(rng.choice([0, 1, 1, 2])) for _ in range(n)]
+        b = [sum(a * v for a, v in zip(row, lam0)) for row in A]
+        _assert_matches_oracle(A, b)
+
+
+def test_fixed_small_systems():
+    one, two = Fraction(1), Fraction(2)
+    # x = 1 and x = 2 together: infeasible.
+    assert _assert_matches_oracle([[one], [one]], [one, two]) is None
+    # -x = -3 needs the row sign flipped.
+    assert _assert_matches_oracle([[-one]], [-Fraction(3)]) == [Fraction(3)]
+    # x - y = -1/2 with x, y >= 0.
+    assert _assert_matches_oracle([[one, -one]], [Fraction(-1, 2)]) == [0, Fraction(1, 2)]
+    # A zero row with a nonzero right-hand side.
+    assert _assert_matches_oracle([[one, one], [0 * one, 0 * one]], [one, one]) is None
+    # Duplicate rows and a zero right-hand side.
+    assert _assert_matches_oracle([[one, two]] * 3, [0 * one] * 3) == [0, 0]
+    assert _phase_one_feasible([], []) == _oracle_phase_one([], []) == []
+
+
+def test_large_denominators():
+    rng = random.Random(5)
+    big = 2**70
+    for _ in range(40):
+        m, n = rng.randint(1, 4), rng.randint(1, 5)
+        A = [
+            [Fraction(rng.randint(-big, big), rng.randint(1, big)) for _ in range(n)]
+            for _ in range(m)
+        ]
+        b = [Fraction(rng.randint(-big, big), rng.randint(1, big)) for _ in range(m)]
+        _assert_matches_oracle(A, b)
+
+
+def _dft_point(rng, F, kind, member):
+    n = F.nrows
+    w = [Fraction(rng.randint(1, 6), rng.randint(1, 3)) for _ in range(n)]
+    if kind == "convex":
+        w = [v / sum(w) for v in w]
+        if not member:
+            w = [2 * v for v in w]
+    elif not member:
+        w[rng.randrange(n)] = -Fraction(rng.randint(1, 6), rng.randint(1, 3))
+    return Vector.complex_(
+        [sum(float(wk) * row[j] for wk, row in zip(w, F.entries)) for j in range(n)]
+    )
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_matches_oracle_on_complex_dft_systems(n):
+    rng = random.Random(300 + n)
+    F = dft(n)
+    tol = Tolerance()
+    # Both hull kinds at every order; which point is the member alternates
+    # so that each order runs one member and one non-member system.
+    for kind, member in (("conical", n % 2 == 0), ("convex", n % 2 == 1)):
+        G = ConeGenerators.from_rows(F, kind)
+        x = _dft_point(rng, F, kind, member)
+        A, b, p = _membership_system(G, x, tol, kind == "convex")
+        got = _phase_one_feasible(A, b)
+        assert got == _oracle_phase_one(A, b)
+        assert (got is not None) == member
+
+
+@pytest.mark.parametrize("member", [True, False])
+def test_matches_oracle_on_kron_h4_points(member):
+    """The 64 Kronecker products of the rows of H4 in dimension 64."""
+    H4 = hadamard_like(4)
+    U = ConeGenerators.from_rows(H4)
+    kron_rows = [[a * b for a in u for b in v] for u in H4.entries for v in H4.entries]
+    w = [Fraction(1 + k % 6, 1 + k % 4) for k in range(len(kron_rows))]
+    if not member:
+        w[21] = Fraction(-1, 2)
+    x = Vector.rational(
+        [sum(wk * row[j] for wk, row in zip(w, kron_rows)) for j in range(64)]
+    )
+    A, b, p = _membership_system(kron_generator_set(U, U), x, Tolerance(), False)
+    got = _assert_matches_oracle(A, b)
+    assert (got is not None) == member
