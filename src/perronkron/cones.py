@@ -29,18 +29,13 @@ from .linalg import (
     bareiss_eliminate,
     inf_norm_exact,
     integer_form,
-    inverse,
     kron,
     kron_factor,
     kron_vec,
     ones_vector,
     vector_is_nonneg,
 )
-from .perron import (
-    find_perron_witness,
-    in_spectracone,
-    make_totally_nonzero,
-)
+from .perron import factor_cone_members, has_unit_inf_norm, in_spectracone
 
 HullKind = Literal["conical", "convex"]
 
@@ -335,14 +330,8 @@ def spectratope_strictness_certificate(
         raise ValueError("strictness certificates require orders at least 2")
     if not 0 < phi < 1:
         raise ValueError("phi and psi = 1 - phi must both be positive")
-    S_inv, T_inv = inverse(S), inverse(T)
-    wS = find_perron_witness(S, tol, S_inv)
-    wT = find_perron_witness(T, tol, T_inv)
-    if wS is None or wT is None:
-        raise ValueError("both factors must be Perron similarities")
-    x = _normalized_nonzero_tope_member(S, wS, tol, S_inv)
-    y = _normalized_nonzero_tope_member(T, wT, tol, T_inv)
-    z = kron_vec(x, y)
+    x, y, K_inv = factor_cone_members(S, T, tol)
+    z = kron_vec(_normalized(x), _normalized(y))
     m, n = S.nrows, T.nrows
     e = ones_vector(m * n, z.mode)
     while True:
@@ -351,17 +340,11 @@ def spectratope_strictness_certificate(
         if all(v != 0 for v in zp.entries):
             break
         phi = phi / 2
-    K = kron(S, T)
-    # The blend has entry phi*1 + psi = 1 where both factors attain their
-    # norm, and no entry can exceed 1.
-    if zp.mode == RATIONAL:
-        norm_is_one = inf_norm_exact(zp) == 1
-    else:
-        norm_is_one = abs(max(abs(v) for v in zp.entries) - 1.0) <= tol.eps
     evidence = TopeStrictnessEvidence(
-        # (S (x) T)^{-1} = S^{-1} (x) T^{-1}: no elimination at order mn.
-        member_cone=in_spectracone(K, zp, tol, kron(S_inv, T_inv)),
-        norm_is_one=norm_is_one,
+        member_cone=in_spectracone(kron(S, T), zp, tol, K_inv),
+        # The blend has entry phi*1 + psi = 1 where both factors attain their
+        # norm, and no entry can exceed 1.
+        norm_is_one=has_unit_inf_norm(zp, tol),
         factorization_absent=kron_factor(zp, m, n, tol) is None,
         phi=phi,
         psi=psi,
@@ -369,10 +352,7 @@ def spectratope_strictness_certificate(
     return zp, evidence
 
 
-def _normalized_nonzero_tope_member(
-    S: Matrix, w, tol: Tolerance, sinv: Matrix
-) -> Vector:
-    x = make_totally_nonzero(S, w, tol, sinv)
+def _normalized(x: Vector) -> Vector:
     if x.mode == RATIONAL:
         return x.scale(Fraction(1) / inf_norm_exact(x))
     return x.scale(1.0 / max(abs(v) for v in x.entries))

@@ -104,13 +104,15 @@ def in_spectratope(
     tol: Tolerance = Tolerance(),
     sinv: Optional[Matrix] = None,
 ) -> bool:
+    return has_unit_inf_norm(x, tol) and in_spectracone(S, x, tol, sinv)
+
+
+def has_unit_inf_norm(x: Vector, tol: Tolerance = Tolerance()) -> bool:
+    """Whether the infinity norm of x is 1: exactly in rational mode, within
+    eps in complex mode."""
     if x.mode == RATIONAL:
-        if inf_norm_exact(x) != 1:
-            return False
-    else:
-        if abs(max(abs(v) for v in x.entries) - 1.0) > tol.eps:
-            return False
-    return in_spectracone(S, x, tol, sinv)
+        return inf_norm_exact(x) == 1
+    return abs(max(abs(v) for v in x.entries) - 1.0) <= tol.eps
 
 
 def cone_inequalities(S: Matrix, sinv: Optional[Matrix] = None) -> Matrix:
@@ -131,13 +133,6 @@ def cone_inequalities(S: Matrix, sinv: Optional[Matrix] = None) -> Matrix:
         for j in range(n)
     ]
     return Matrix(rows, S.mode)
-
-
-def satisfies_cone_inequalities(
-    M: Matrix, x: Vector, tol: Tolerance = Tolerance()
-) -> bool:
-    """Whether M x >= 0 (real and nonnegative within eps in complex mode)."""
-    return vector_is_nonneg(M @ x, tol)
 
 
 def find_perron_witness(
@@ -250,6 +245,25 @@ def make_totally_nonzero(
     return Vector(entries, S.mode)
 
 
+def factor_cone_members(
+    S: Matrix, T: Matrix, tol: Tolerance = Tolerance()
+) -> Tuple[Vector, Vector, Matrix]:
+    """Totally nonzero, non-constant x in C(S) and y in C(T), built from the
+    factors' witnesses, and the inverse of S (x) T.
+
+    Raises ValueError unless both factors are Perron similarities.
+    """
+    S_inv, T_inv = inverse(S), inverse(T)
+    wS = find_perron_witness(S, tol, S_inv)
+    wT = find_perron_witness(T, tol, T_inv)
+    if wS is None or wT is None:
+        raise ValueError("both factors must be Perron similarities")
+    x = make_totally_nonzero(S, wS, tol, S_inv)
+    y = make_totally_nonzero(T, wT, tol, T_inv)
+    # (S (x) T)^{-1} = S^{-1} (x) T^{-1}: no elimination at order mn.
+    return x, y, kron(S_inv, T_inv)
+
+
 @dataclass(frozen=True)
 class StrictConeEvidence:
     """Evidence that a cone vector lies in C(S (x) T) but has no factorization."""
@@ -275,13 +289,7 @@ def strict_cone_containment_certificate(
     """
     if S.nrows < 2 or T.nrows < 2:
         raise ValueError("strict containment requires orders at least 2")
-    S_inv, T_inv = inverse(S), inverse(T)
-    wS = find_perron_witness(S, tol, S_inv)
-    wT = find_perron_witness(T, tol, T_inv)
-    if wS is None or wT is None:
-        raise ValueError("both factors must be Perron similarities")
-    x = make_totally_nonzero(S, wS, tol, S_inv)
-    y = make_totally_nonzero(T, wT, tol, T_inv)
+    x, y, K_inv = factor_cone_members(S, T, tol)
     z = kron_vec(x, y)
     m, n = S.nrows, T.nrows
     shift = Fraction(1) if z.mode == RATIONAL else complex(1)
@@ -290,8 +298,6 @@ def strict_cone_containment_certificate(
     while any(v == 0 for v in zp.entries):
         shift = shift + 1
         zp = z + e.scale(shift)
-    # (S (x) T)^{-1} = S^{-1} (x) T^{-1}: no elimination at order mn.
-    K_inv = kron(S_inv, T_inv)
     evidence = StrictConeEvidence(
         member=in_spectracone(kron(S, T), zp, tol, K_inv),
         factorization_absent=kron_factor(zp, m, n, tol) is None,

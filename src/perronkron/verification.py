@@ -352,6 +352,16 @@ def _check_extreme_rays(findings: Dict[str, object]) -> None:
     findings["hadamard_extreme_rays_match_rows"] = ok
 
 
+def report(
+    verb: str, inputs: Dict[str, object], findings: Dict[str, object]
+) -> Dict[str, object]:
+    """Report of a check verb: it passes when every boolean finding holds."""
+    status = "pass" if all(
+        v for v in findings.values() if isinstance(v, bool)
+    ) else "fail"
+    return {"verb": verb, "status": status, "inputs": inputs, "findings": findings}
+
+
 def run_verification_suite(
     seed: int = DEFAULT_SEED, tol: Tolerance = Tolerance()
 ) -> Dict[str, object]:
@@ -377,12 +387,4 @@ def run_verification_suite(
     _check_tope_strictness(findings, tol)
     _check_extreme_rays(findings)
 
-    status = "pass" if all(
-        v for v in findings.values() if isinstance(v, bool)
-    ) else "fail"
-    return {
-        "verb": "verify-paper",
-        "status": status,
-        "inputs": {"seed": seed, "tolerance": tol.eps},
-        "findings": findings,
-    }
+    return report("verify-paper", {"seed": seed, "tolerance": tol.eps}, findings)

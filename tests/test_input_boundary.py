@@ -238,3 +238,8 @@ def test_gen_admits_orders_up_to_the_limit(monkeypatch, family, arg):
     code, err = _run(["gen", family, arg])
     assert (code, err, built) == (0, "", [int(arg)])
     assert MAX_GEN_ORDER == 2 ** (11 - 1)
+
+
+@pytest.mark.parametrize("row", ["1/0", "1,2/0,3"])
+def test_gen_circulant_zero_denominator_exits_2(row):
+    _assert_one_line_error(*_run(["gen", "circulant", row]))

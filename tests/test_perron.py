@@ -14,6 +14,7 @@ from perronkron.linalg import (
     kron_factor,
     kron_vec,
     ones_vector,
+    vector_is_nonneg,
 )
 from perronkron.perron import (
     PerronWitness,
@@ -25,7 +26,6 @@ from perronkron.perron import (
     kron_witness_index,
     make_totally_nonzero,
     reproduce_counterexample,
-    satisfies_cone_inequalities,
     similarity_image,
     strict_cone_containment_certificate,
     verify_strong_certificate,
@@ -34,6 +34,13 @@ from perronkron.perron import (
 
 H2 = hadamard_like(2)
 COUNTEREXAMPLE_S = kron(H2, Matrix.rational([[1, 2], [1, 1]]))
+
+
+def satisfies_cone_inequalities(
+    M: Matrix, x: Vector, tol: Tolerance = Tolerance()
+) -> bool:
+    """Whether M x >= 0 (real and nonnegative within eps in complex mode)."""
+    return vector_is_nonneg(M @ x, tol)
 
 
 def test_similarity_image_counterexample():
