@@ -20,7 +20,6 @@ from typing import List, Literal, Optional, Sequence, Tuple
 import numpy as np
 
 from .linalg import (
-    COMPLEX,
     RATIONAL,
     Matrix,
     ModeMismatchError,
@@ -33,7 +32,6 @@ from .linalg import (
     kron_factor,
     kron_vec,
     ones_vector,
-    vector_is_nonneg,
 )
 from .perron import factor_cone_members, has_unit_inf_norm, in_spectracone
 

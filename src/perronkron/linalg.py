@@ -4,25 +4,29 @@ Two scalar modes exist and never mix silently: ``"rational"`` entries are
 ``fractions.Fraction`` and all comparisons are exact; ``"complex"`` entries
 are Python ``complex`` and comparisons use a tolerance.
 
-A matrix computes a dense array form of itself on first use and keeps it
-(``Matrix.array_form``).  In rational mode that is an integer numerator
-array, one positive common denominator and the largest numerator
-magnitude; the array is numpy int64 when that bound allows it and a
-Python-int ``object`` array otherwise.  In complex mode it is a complex
-ndarray.  Rational products multiply the cached numerator arrays (in int64
-only when no partial sum can overflow), so the denominators of a matrix
-are cleared once, not once per product.  The cache assumes that a
-matrix's ``entries`` are never mutated after construction; no code in this
-package does so, and callers must build a new ``Matrix`` instead.
+The only state of a rational ``Vector`` or ``Matrix`` is its
+``IntegerForm``: a numerator array over one positive denominator in lowest
+terms (a zero array is 0/1), with the largest numerator magnitude as its
+bound.  The array is int64 when the bound is below 2**62 and a Python-int
+``object`` array otherwise.  A complex array holds a complex ndarray.
+``array_form()`` returns the state, and equality and hashing read it.
+``entries`` is a view, nested lists of ``Fraction`` or ``complex`` built on
+first use; an array built from input keeps its coerced input as the view.
+Arrays are immutable: callers build a new array instead of mutating one.
+
+Every rational result passes through one lowest-terms constructor, and
+``integer_product`` runs each integer operation in int64 or on Python ints.
+Complex elementwise products round exactly as Python's complex product
+does, and every complex result must be finite.
 
 Exact elimination has one kernel, ``bareiss_eliminate``: fraction-free
 Gauss-Jordan elimination on Python integers, after E. H. Bareiss,
 "Sylvester's identity and multistep integer-preserving Gaussian
 elimination", Math. Comp. 22 (1968).  Every entry it produces is a minor of
 its input, so each division it makes is exact and no gcd is taken.  The
-rational ``inverse`` runs it on ``[N | I]``, where ``N`` is the cached
-numerator array of ``array_form``; ``cones`` runs it for null spaces.
-Complex mode inverts by Gauss-Jordan with partial pivoting.
+rational ``inverse`` runs it on ``[N | I]``, where ``N`` is the numerator
+array of the matrix; ``cones`` runs it for null spaces.  Complex mode
+inverts by Gauss-Jordan with partial pivoting.
 """
 from __future__ import annotations
 
@@ -80,81 +84,6 @@ def _require_same_mode(a, b):
         raise ModeMismatchError(f"mode mismatch: {a.mode} vs {b.mode}")
 
 
-class Vector:
-    """Dense vector with a fixed scalar mode."""
-
-    __slots__ = ("mode", "entries")
-
-    def __init__(self, entries: Iterable[ScalarInput], mode: str):
-        self.mode = mode
-        self.entries = [_coerce(v, mode) for v in entries]
-        if not self.entries:
-            raise ValueError("vectors must be nonempty")
-
-    @classmethod
-    def rational(cls, entries: Iterable[ScalarInput]) -> "Vector":
-        return cls(entries, RATIONAL)
-
-    @classmethod
-    def complex_(cls, entries: Iterable[ScalarInput]) -> "Vector":
-        return cls(entries, COMPLEX)
-
-    @property
-    def dim(self) -> int:
-        return len(self.entries)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __getitem__(self, i: int):
-        return self.entries[i]
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Vector)
-            and self.mode == other.mode
-            and self.entries == other.entries
-        )
-
-    def __hash__(self):
-        return hash((self.mode, tuple(self.entries)))
-
-    def __repr__(self) -> str:
-        return f"Vector({self.entries!r}, mode={self.mode!r})"
-
-    def __add__(self, other: "Vector") -> "Vector":
-        _require_same_mode(self, other)
-        if self.dim != other.dim:
-            raise ValueError("dimension mismatch")
-        return Vector([a + b for a, b in zip(self.entries, other.entries)], self.mode)
-
-    def scale(self, alpha: ScalarInput) -> "Vector":
-        a = _coerce(alpha, self.mode)
-        return Vector([a * v for v in self.entries], self.mode)
-
-    def to_complex(self) -> "Vector":
-        if self.mode == COMPLEX:
-            return self
-        return Vector([complex(v) for v in self.entries], COMPLEX)
-
-
-def basis_vector(n: int, k: int, mode: str = RATIONAL) -> Vector:
-    """Canonical basis vector e_k (1-based) in dimension n."""
-    if not 1 <= k <= n:
-        raise ValueError(f"basis index {k} out of range for dimension {n}")
-    one = Fraction(1) if mode == RATIONAL else complex(1)
-    zero = Fraction(0) if mode == RATIONAL else complex(0)
-    return Vector([one if i == k - 1 else zero for i in range(n)], mode)
-
-
-def ones_vector(n: int, mode: str = RATIONAL) -> Vector:
-    one = Fraction(1) if mode == RATIONAL else complex(1)
-    return Vector([one] * n, mode)
-
-
 class IntegerForm(NamedTuple):
     """Rational entries as ``num / den`` with one common denominator."""
 
@@ -163,71 +92,282 @@ class IntegerForm(NamedTuple):
     bound: int  # largest |numerator|
 
 
-class Matrix:
-    """Dense matrix with a fixed scalar mode; entries stored row-major.
+# Integer arithmetic runs in numpy int64 when no operand or partial result
+# can overflow; otherwise Python big integers (numpy object arrays) take over.
+_INT64_SAFE = 2**62
 
-    Matrices are immutable by convention: ``array_form`` caches an array
-    form of ``entries`` on first use.
+
+def integer_form(rows) -> IntegerForm:
+    """Clear the denominators of rows of Fractions.
+
+    The result is in lowest terms: a prime dividing the common denominator
+    divides the denominator of some entry as often, and that entry's
+    cleared numerator is prime to it.
     """
+    den = math.lcm(*(v.denominator for row in rows for v in row))
+    cleared = [[v.numerator * (den // v.denominator) for v in row] for row in rows]
+    bound = max(abs(v) for row in cleared for v in row)
+    dtype = np.int64 if bound < _INT64_SAFE else object
+    return IntegerForm(np.array(cleared, dtype=dtype), den, bound)
 
-    __slots__ = ("mode", "entries", "_form")
+
+def integer_product(op, *operands, bound: int) -> np.ndarray:
+    """``op(*operands)`` on integer arrays and Python ints, exact.
+
+    ``bound`` must bound the magnitude of every partial result.  The
+    operation runs in int64 when ``bound`` and every int operand are below
+    ``_INT64_SAFE``, and on Python ints otherwise.  An int operand counts
+    on its own, because numpy casts it to int64 even where the array it
+    multiplies is zero.
+    """
+    scalars = (abs(v) for v in operands if isinstance(v, int))
+    if bound < _INT64_SAFE and all(s < _INT64_SAFE for s in scalars):
+        return op(*operands)
+    return op(*(v.astype(object) if isinstance(v, np.ndarray) else v for v in operands))
+
+
+def _lowest_terms(num: np.ndarray, den: int) -> IntegerForm:
+    """The canonical ``IntegerForm`` of ``num / den`` for a positive ``den``."""
+    bound = int(abs(num).max())
+    if bound == 0:
+        return IntegerForm(np.zeros(num.shape, dtype=np.int64), 1, 0)
+    if den != 1:
+        g = math.gcd(int(np.gcd.reduce(num, axis=None)), den)
+        if g != 1:
+            num, den, bound = num // g, den // g, bound // g
+    dtype = np.int64 if bound < _INT64_SAFE else object
+    return IntegerForm(num if num.dtype == dtype else num.astype(dtype), den, bound)
+
+
+def _complex_product(op, a, b) -> np.ndarray:
+    """``op(a, b)`` on complex operands.  The elementwise products
+    ``np.multiply`` and ``np.kron`` are formed from real and imaginary
+    parts, so each rounds as Python's complex product does."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        if op is np.matmul:
+            return a @ b
+        real = op(a.real, b.real) - op(a.imag, b.imag)
+        imag = op(a.real, b.imag) + op(a.imag, b.real)
+    out = real.astype(complex)
+    out.imag = imag
+    return out
+
+
+def _product(cls, a, b, op, terms: int = 1):
+    """``op(a, b)`` as a ``cls`` array, for a product ``op`` whose entries
+    each sum ``terms`` products of an entry of ``a`` and one of ``b``."""
+    if a.mode == COMPLEX:
+        return cls._complex(_complex_product(op, a._state, b._state))
+    s, t = a._state, b._state
+    num = integer_product(op, s.num, t.num, bound=s.bound * t.bound * terms)
+    return cls._rational(num, s.den * t.den)
+
+
+class _Array:
+    """The state, view and shared operations of ``Vector`` and ``Matrix``."""
+
+    __slots__ = ("mode", "_state", "_entries")
+
+    def _set_input(self, entries: list, mode: str) -> None:
+        """Hold coerced input ``entries`` as the view and derive the state."""
+        self.mode, self._entries = mode, entries
+        if mode == COMPLEX:
+            self._state = np.array(entries, dtype=complex)
+        elif isinstance(self, Matrix):
+            self._state = integer_form(entries)
+        else:
+            form = integer_form([entries])
+            self._state = form._replace(num=form.num[0])
+
+    @classmethod
+    def _of(cls, mode: str, state):
+        array = object.__new__(cls)
+        array.mode, array._state, array._entries = mode, state, None
+        return array
+
+    @classmethod
+    def _rational(cls, num: np.ndarray, den: int):
+        """The rational array ``num / den`` in lowest terms."""
+        return cls._of(RATIONAL, _lowest_terms(num, den))
+
+    @classmethod
+    def _complex(cls, values: np.ndarray):
+        """The complex array of ``values``, which must all be finite."""
+        finite = np.isfinite(values)
+        if not finite.all():
+            first = complex(values.ravel()[np.flatnonzero(~finite.ravel())[0]])
+            raise ValueError(f"complex entries must be finite, got {first}")
+        return cls._of(COMPLEX, values)
+
+    @classmethod
+    def rational(cls, entries):
+        return cls(entries, RATIONAL)
+
+    @classmethod
+    def complex_(cls, entries):
+        return cls(entries, COMPLEX)
+
+    def array_form(self) -> Union[IntegerForm, np.ndarray]:
+        """The state: an ``IntegerForm`` in rational mode, a complex ndarray
+        in complex mode."""
+        return self._state
+
+    @property
+    def _values(self) -> np.ndarray:
+        return self._state.num if self.mode == RATIONAL else self._state
+
+    @property
+    def _den(self) -> Optional[int]:
+        return self._state.den if self.mode == RATIONAL else None
+
+    def _with_values(self, cls, values: np.ndarray):
+        """A ``cls`` array of ``values`` in this array's mode; rational values
+        are numerators over this array's denominator."""
+        if self.mode == RATIONAL:
+            return cls._rational(values, self._den)
+        return cls._complex(values)
+
+    @property
+    def entries(self) -> list:
+        """``Fraction`` or ``complex`` entries in (nested) lists: a view of
+        the state, built once."""
+        if self._entries is None:
+            values = self._values.tolist()
+            if self.mode == RATIONAL:
+                values = _fractions(values, self._den)
+            self._entries = values
+        return self._entries
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, _Array)
+            and self.mode == other.mode
+            and self._den == other._den
+            and np.array_equal(self._values, other._values)
+        )
+
+    def __hash__(self):
+        values = self._values
+        return hash((self.mode, values.shape, self._den, tuple(values.ravel().tolist())))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.entries!r}, mode={self.mode!r})"
+
+    def __add__(self, other):
+        return self._sum(other, 1)
+
+    def _sum(self, other, sign: int):
+        """self + sign * other, for sign = 1 or -1."""
+        _require_same_mode(self, other)
+        if self._values.shape != other._values.shape:
+            raise ValueError(self._shape_error)
+        if self.mode == COMPLEX:
+            with np.errstate(over="ignore", invalid="ignore"):
+                values = (np.add if sign > 0 else np.subtract)(self._state, other._state)
+            return type(self)._complex(values)
+        a, b = self._state, other._state
+        den = math.lcm(a.den, b.den)
+        fa, fb = den // a.den, sign * (den // b.den)
+        num = integer_product(
+            lambda p, fp, q, fq: p * fp + q * fq,
+            a.num, fa, b.num, fb,
+            bound=a.bound * fa + b.bound * abs(fb),
+        )
+        return type(self)._rational(num, den)
+
+    def scale(self, alpha: ScalarInput):
+        a = _coerce(alpha, self.mode)
+        if self.mode == COMPLEX:
+            return type(self)._complex(_complex_product(np.multiply, self._state, a))
+        s = self._state
+        num = integer_product(
+            np.multiply, s.num, a.numerator, bound=s.bound * abs(a.numerator)
+        )
+        return type(self)._rational(num, s.den * a.denominator)
+
+    def to_complex(self):
+        if self.mode == COMPLEX:
+            return self
+        num, den, _ = self._state
+        # Python int true division rounds each num/den correctly.
+        values = [v / den for v in num.ravel().tolist()]
+        return type(self)._complex(np.array(values, dtype=complex).reshape(num.shape))
+
+
+def _fractions(values: list, den: int) -> list:
+    """Nested lists of ints as Fractions over ``den``."""
+    return [
+        _fractions(v, den) if isinstance(v, list) else Fraction(v, den) for v in values
+    ]
+
+
+class Vector(_Array):
+    """Dense vector with a fixed scalar mode."""
+
+    __slots__ = ()
+    _shape_error = "dimension mismatch"
+
+    def __init__(self, entries: Iterable[ScalarInput], mode: str):
+        entries = [_coerce(v, mode) for v in entries]
+        if not entries:
+            raise ValueError("vectors must be nonempty")
+        self._set_input(entries, mode)
+
+    @property
+    def dim(self) -> int:
+        return len(self._values)
+
+    def __len__(self) -> int:
+        return self.dim
+
+    def __iter__(self):
+        return iter(self.entries)
+
+    def __getitem__(self, i: int):
+        return self.entries[i]
+
+
+def basis_vector(n: int, k: int, mode: str = RATIONAL) -> Vector:
+    """Canonical basis vector e_k (1-based) in dimension n."""
+    if not 1 <= k <= n:
+        raise ValueError(f"basis index {k} out of range for dimension {n}")
+    return Vector([int(i == k - 1) for i in range(n)], mode)
+
+
+def ones_vector(n: int, mode: str = RATIONAL) -> Vector:
+    return Vector([1] * n, mode)
+
+
+class Matrix(_Array):
+    """Dense matrix with a fixed scalar mode; entries stored row-major."""
+
+    __slots__ = ()
+    _shape_error = "shape mismatch"
 
     def __init__(self, rows: Sequence[Sequence[ScalarInput]], mode: str):
-        self.mode = mode
-        self._form = None
-        self.entries = [[_coerce(v, mode) for v in row] for row in rows]
-        if not self.entries or not self.entries[0]:
+        entries = [[_coerce(v, mode) for v in row] for row in rows]
+        if not entries or not entries[0]:
             raise ValueError("matrices must be nonempty")
-        width = len(self.entries[0])
-        if any(len(row) != width for row in self.entries):
+        width = len(entries[0])
+        if any(len(row) != width for row in entries):
             raise ValueError("all rows must have equal length")
-
-    @classmethod
-    def rational(cls, rows: Sequence[Sequence[ScalarInput]]) -> "Matrix":
-        return cls(rows, RATIONAL)
-
-    @classmethod
-    def complex_(cls, rows: Sequence[Sequence[ScalarInput]]) -> "Matrix":
-        return cls(rows, COMPLEX)
+        self._set_input(entries, mode)
 
     @classmethod
     def identity(cls, n: int, mode: str = RATIONAL) -> "Matrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)], mode)
-
-    def array_form(self) -> Union[IntegerForm, np.ndarray]:
-        """Cached array form: an ``IntegerForm`` in rational mode, a complex
-        ndarray in complex mode."""
-        if self._form is None:
-            if self.mode == RATIONAL:
-                self._form = integer_form(self.entries)
-            else:
-                self._form = np.array(self.entries, dtype=complex)
-        return self._form
+        return cls([[int(i == j) for j in range(n)] for i in range(n)], mode)
 
     @property
     def nrows(self) -> int:
-        return len(self.entries)
+        return self._values.shape[0]
 
     @property
     def ncols(self) -> int:
-        return len(self.entries[0])
+        return self._values.shape[1]
 
     @property
     def is_square(self) -> bool:
         return self.nrows == self.ncols
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Matrix)
-            and self.mode == other.mode
-            and self.entries == other.entries
-        )
-
-    def __hash__(self):
-        return hash((self.mode, tuple(tuple(r) for r in self.entries)))
-
-    def __repr__(self) -> str:
-        return f"Matrix({self.entries!r}, mode={self.mode!r})"
 
     def __getitem__(self, ij: Tuple[int, int]):
         i, j = ij
@@ -235,139 +375,51 @@ class Matrix:
 
     def row(self, i: int) -> Vector:
         """Row i (0-based) as a vector."""
-        return Vector(self.entries[i], self.mode)
+        return self._with_values(Vector, self._values[i])
 
     def col(self, j: int) -> Vector:
-        return Vector([row[j] for row in self.entries], self.mode)
+        return self._with_values(Vector, self._values[:, j])
 
     def rows(self) -> List[Vector]:
         return [self.row(i) for i in range(self.nrows)]
 
     def transpose(self) -> "Matrix":
-        return Matrix(list(zip(*self.entries)), self.mode)
-
-    def to_complex(self) -> "Matrix":
-        if self.mode == COMPLEX:
-            return self
-        return Matrix([[complex(v) for v in row] for row in self.entries], COMPLEX)
-
-    def __add__(self, other: "Matrix") -> "Matrix":
-        _require_same_mode(self, other)
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise ValueError("shape mismatch")
-        return Matrix(
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.entries, other.entries)],
-            self.mode,
-        )
+        return self._with_values(Matrix, self._values.T)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        _require_same_mode(self, other)
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise ValueError("shape mismatch")
-        return Matrix(
-            [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.entries, other.entries)],
-            self.mode,
-        )
-
-    def scale(self, alpha: ScalarInput) -> "Matrix":
-        a = _coerce(alpha, self.mode)
-        return Matrix([[a * v for v in row] for row in self.entries], self.mode)
+        return self._sum(other, -1)
 
     def scale_columns(self, x: Vector) -> "Matrix":
         """Return self @ diag(x) without building the diagonal matrix."""
         _require_same_mode(self, x)
         if x.dim != self.ncols:
             raise ValueError("dimension mismatch")
-        return Matrix(
-            [[v * xv for v, xv in zip(row, x.entries)] for row in self.entries],
-            self.mode,
-        )
+        return _product(Matrix, self, x, np.multiply)
 
     def __matmul__(self, other):
-        if isinstance(other, Vector):
-            _require_same_mode(self, other)
-            if self.ncols != other.dim:
-                raise ValueError("dimension mismatch")
-            return Vector(
-                [_dot(row, other.entries) for row in self.entries], self.mode
-            )
-        if not isinstance(other, Matrix):
+        if not isinstance(other, (Vector, Matrix)):
             return NotImplemented
         _require_same_mode(self, other)
-        if self.ncols != other.nrows:
+        if self.ncols != len(other._values):
             raise ValueError("dimension mismatch")
-        if self.mode == RATIONAL:
-            return _matmul_rational(self, other)
-        return Matrix((self.array_form() @ other.array_form()).tolist(), COMPLEX)
-
-
-def _dot(a, b):
-    total = a[0] * b[0]
-    for x, y in zip(a[1:], b[1:]):
-        total += x * y
-    return total
-
-
-# Integer products run in numpy int64 when no partial result can overflow;
-# otherwise Python big integers (numpy object arrays) take over.
-_INT64_SAFE = 2**62
-
-
-def integer_form(rows) -> IntegerForm:
-    """Clear the denominators of rows of Fractions."""
-    den = 1
-    for row in rows:
-        for v in row:
-            den = den * v.denominator // math.gcd(den, v.denominator)
-    cleared = [[v.numerator * (den // v.denominator) for v in row] for row in rows]
-    bound = max(abs(v) for row in cleared for v in row)
-    dtype = np.int64 if bound < _INT64_SAFE else object
-    return IntegerForm(np.array(cleared, dtype=dtype), den, bound)
-
-
-def integer_product(op, a: np.ndarray, b: np.ndarray, bound: int) -> np.ndarray:
-    """``op(a, b)`` on integer arrays, exact.
-
-    ``bound`` must bound the magnitude of every partial result; below
-    ``_INT64_SAFE`` the operation runs in int64, otherwise on Python ints.
-    """
-    if bound < _INT64_SAFE:
-        return op(a, b)
-    return op(a.astype(object), b.astype(object))
-
-
-def _matmul_rational(A: Matrix, B: Matrix) -> Matrix:
-    a, b = A.array_form(), B.array_form()
-    prod = integer_product(np.matmul, a.num, b.num, a.bound * b.bound * A.ncols)
-    den = a.den * b.den
-    return Matrix(
-        [[Fraction(v, den) for v in row] for row in prod.tolist()], RATIONAL
-    )
+        return _product(type(other), self, other, np.matmul, self.ncols)
 
 
 def kron(A: Matrix, B: Matrix) -> Matrix:
     """Kronecker product, blockwise [a_ij * B]."""
     _require_same_mode(A, B)
-    out = []
-    for arow in A.entries:
-        for brow in B.entries:
-            out.append([a * b for a in arow for b in brow])
-    return Matrix(out, A.mode)
+    return _product(Matrix, A, B, np.kron)
 
 
 def kron_vec(x: Vector, y: Vector) -> Vector:
     """Kronecker product of vectors: entry i is x_ceil(i/n) * y_((i-1)%n+1)."""
     _require_same_mode(x, y)
-    return Vector([a * b for a in x.entries for b in y.entries], x.mode)
+    return _product(Vector, x, y, np.kron)
 
 
 def diag_embed(x: Vector) -> Matrix:
     """Diagonal matrix with x on the diagonal."""
-    zero = Fraction(0) if x.mode == RATIONAL else complex(0)
-    n = x.dim
-    return Matrix(
-        [[x[i] if i == j else zero for j in range(n)] for i in range(n)], x.mode
-    )
+    return x._with_values(Matrix, np.diag(x._values))
 
 
 def diag_kron_identity(x: Vector, y: Vector) -> bool:
@@ -440,11 +492,8 @@ def inverse(S: Matrix) -> Matrix:
         if pivots[:n] != list(range(n)):
             col = next(c for c, p in enumerate(pivots + [n]) if c != p)
             raise SingularMatrixError(f"no pivot in column {col + 1}")
-        d = form.den
-        return Matrix(
-            [[Fraction(v * d, det) for v in row[n:]] for row in aug.tolist()],
-            RATIONAL,
-        )
+        num = aug[:, n:] * (form.den if det > 0 else -form.den)
+        return Matrix._rational(num, abs(det))
     aug = [
         list(row) + [complex(i == j) for j in range(n)]
         for i, row in enumerate(S.entries)
@@ -460,16 +509,16 @@ def inverse(S: Matrix) -> Matrix:
             if r != col and aug[r][col] != 0:
                 factor = aug[r][col]
                 aug[r] = [v - factor * p for v, p in zip(aug[r], aug[col])]
-    return Matrix([row[n:] for row in aug], COMPLEX)
+    return Matrix._complex(np.array([row[n:] for row in aug], dtype=complex))
 
 
 def p_norm(x: Vector, p: Union[int, float]) -> float:
     """Standard p-norm for p in [1, inf]; the inf-norm is the max modulus."""
+    mags = [abs(complex(v)) if x.mode == COMPLEX else abs(float(v)) for v in x]
     if p == math.inf:
-        return max(abs(complex(v)) if x.mode == COMPLEX else abs(float(v)) for v in x)
+        return max(mags)
     if p < 1:
         raise ValueError(f"p-norms require p >= 1, got {p}")
-    mags = [abs(complex(v)) if x.mode == COMPLEX else abs(float(v)) for v in x]
     return sum(m**p for m in mags) ** (1.0 / p)
 
 
@@ -477,27 +526,25 @@ def inf_norm_exact(x: Vector) -> Fraction:
     """Exact infinity norm; rational mode only."""
     if x.mode != RATIONAL:
         raise ModeMismatchError("exact norms require rational mode")
-    return max(abs(v) for v in x.entries)
+    return Fraction(x._state.bound, x._state.den)
 
 
 def is_entrywise_nonneg(A: Matrix, tol: Tolerance = Tolerance()) -> bool:
     """Entrywise nonnegativity; complex entries must be (nearly) real."""
-    if A.mode == RATIONAL:
-        return all(v >= 0 for row in A.entries for v in row)
-    return all(
-        abs(v.imag) <= tol.eps and v.real >= -tol.eps
-        for row in A.entries
-        for v in row
-    )
+    return _nonneg(A, tol, 1)
 
 
 def vector_is_nonneg(x: Vector, tol: Tolerance = Tolerance(), sign: int = 1) -> bool:
     """Whether sign * x is entrywise nonnegative (nearly real in complex mode)."""
-    if x.mode == RATIONAL:
-        return all(sign * v >= 0 for v in x.entries)
-    return all(
-        abs(v.imag) <= tol.eps and sign * v.real >= -tol.eps for v in x.entries
-    )
+    return _nonneg(x, tol, sign)
+
+
+def _nonneg(a: _Array, tol: Tolerance, sign: int) -> bool:
+    # A positive denominator leaves each sign to its numerator.
+    if a.mode == RATIONAL:
+        return bool((sign * a._state.num >= 0).all())
+    v = a._state
+    return bool(((np.abs(v.imag) <= tol.eps) & (sign * v.real >= -tol.eps)).all())
 
 
 def matrices_close(A: Matrix, B: Matrix, tol: Tolerance = Tolerance()) -> bool:
@@ -540,14 +587,9 @@ def kron_factor(
         ((i, j) for i, row in enumerate(rows) for j, v in enumerate(row) if nonzero(v)),
         None,
     )
-    one = Fraction(1) if z.mode == RATIONAL else complex(1)
-    zero = Fraction(0) if z.mode == RATIONAL else complex(0)
     if pivot is None:
         # z = 0 reshapes to the zero matrix (rank 0); any y works with x = 0.
-        return (
-            Vector([zero] * m, z.mode),
-            Vector([one] + [zero] * (n - 1), z.mode),
-        )
+        return Vector([0] * m, z.mode), Vector([1] + [0] * (n - 1), z.mode)
     i0, j0 = pivot
     y = [v / rows[i0][j0] for v in rows[i0]]
     x = [rows[i][j0] for i in range(m)]

@@ -12,19 +12,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional, Tuple
 
-import numpy as np
-
 from .indexing import IndexPair, fold_index
 from .linalg import (
-    COMPLEX,
     RATIONAL,
     Matrix,
     ModeMismatchError,
     Tolerance,
     Vector,
+    diag_embed,
     inf_norm_exact,
-    integer_form,
-    integer_product,
     inverse,
     is_entrywise_nonneg,
     kron,
@@ -42,8 +38,10 @@ class PerronWitness(NamedTuple):
     sign: int
 
 
-def _similarity_inverse(S: Matrix, x: Vector, sinv: Optional[Matrix]) -> Matrix:
-    """Validate the operands of S diag(x) S^{-1} and return S^{-1}."""
+def similarity_image(
+    S: Matrix, x: Vector, sinv: Optional[Matrix] = None
+) -> Matrix:
+    """S diag(x) S^{-1}; pass a precomputed inverse to skip elimination."""
     if not S.is_square:
         raise ValueError("similarity images require square matrices")
     if x.dim != S.nrows:
@@ -55,14 +53,6 @@ def _similarity_inverse(S: Matrix, x: Vector, sinv: Optional[Matrix]) -> Matrix:
             raise ModeMismatchError(f"mode mismatch: {S.mode} vs {other.mode}")
     if sinv.nrows != S.ncols:
         raise ValueError("dimension mismatch")
-    return sinv
-
-
-def similarity_image(
-    S: Matrix, x: Vector, sinv: Optional[Matrix] = None
-) -> Matrix:
-    """S diag(x) S^{-1}; pass a precomputed inverse to skip elimination."""
-    sinv = _similarity_inverse(S, x, sinv)
     return S.scale_columns(x) @ sinv
 
 
@@ -72,30 +62,9 @@ def in_spectracone(
     tol: Tolerance = Tolerance(),
     sinv: Optional[Matrix] = None,
 ) -> bool:
-    """Whether S diag(x) S^{-1} is entrywise nonnegative.
-
-    Decided on the cached array forms of S and S^{-1} without building the
-    image as a Matrix.  In rational mode the image is
-    (S_num diag(x_num) Sinv_num) divided by three positive denominators, so
-    its sign is that of the integer product.  In complex mode the test of
-    ``is_entrywise_nonneg`` runs on the complex ndarray of the image.
-    ``is_entrywise_nonneg(similarity_image(S, x, sinv), tol)`` is the
-    reference this must agree with.
-    """
-    sinv = _similarity_inverse(S, x, sinv)
-    if S.mode == RATIONAL:
-        s, si = S.array_form(), sinv.array_form()
-        xf = integer_form([x.entries])
-        scaled_bound = s.bound * xf.bound
-        scaled = integer_product(np.multiply, s.num, xf.num, scaled_bound)
-        image = integer_product(
-            np.matmul, scaled, si.num, scaled_bound * si.bound * S.ncols
-        )
-        return bool((image >= 0).all())
-    image = (S.array_form() * np.array(x.entries, dtype=complex)) @ sinv.array_form()
-    return bool(
-        ((np.abs(image.imag) <= tol.eps) & (image.real >= -tol.eps)).all()
-    )
+    """Whether S diag(x) S^{-1} is entrywise nonnegative (in complex mode,
+    nearly real and nonnegative within ``tol``)."""
+    return is_entrywise_nonneg(similarity_image(S, x, sinv), tol)
 
 
 def in_spectratope(
@@ -235,13 +204,8 @@ def make_totally_nonzero(
     """
     if not witness_is_valid(S, w, tol, sinv):
         raise ValueError(f"{w} is not a valid witness for this matrix")
-    n = S.nrows
-    if S.mode == RATIONAL:
-        entries = [Fraction(2)] * n
-        entries[w.index - 1] = Fraction(3)
-    else:
-        entries = [complex(2)] * n
-        entries[w.index - 1] = complex(3)
+    entries = [2] * S.nrows
+    entries[w.index - 1] = 3
     return Vector(entries, S.mode)
 
 
@@ -331,16 +295,9 @@ def reproduce_counterexample() -> CounterexampleReport:
     s = kron(h2, t)
     s_inv = inverse(s)
     x = Vector.rational([2, 2, -1, -1])
-    from .linalg import diag_embed
-
     d = diag_embed(x)
     a = similarity_image(s, x, s_inv)
-    first = a.entries[0][0]
-    nonscalar = any(
-        a.entries[i][j] != (first if i == j else 0)
-        for i in range(4)
-        for j in range(4)
-    )
+    nonscalar = a != Matrix.identity(4).scale(a[0, 0])
     return CounterexampleReport(
         s=s,
         s_inv=s_inv,

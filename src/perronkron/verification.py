@@ -16,7 +16,6 @@ from typing import Dict, List, Optional, Tuple
 from . import cones, digraph, families, perron
 from .indexing import IndexPair, division_identity_holds, fold_index, unfold_index
 from .linalg import (
-    COMPLEX,
     RATIONAL,
     Matrix,
     Tolerance,

@@ -5,6 +5,8 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 from fractions import Fraction
 
@@ -243,3 +245,34 @@ def test_gen_admits_orders_up_to_the_limit(monkeypatch, family, arg):
 @pytest.mark.parametrize("row", ["1/0", "1,2/0,3"])
 def test_gen_circulant_zero_denominator_exits_2(row):
     _assert_one_line_error(*_run(["gen", "circulant", row]))
+
+
+# --- complex overflow -------------------------------------------------------
+
+_OVERFLOW_DOCS = {
+    "diag.json": {"mode": "complex", "rows": 2, "cols": 2,
+                  "data": [[1e300, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]},
+    "spectrum.json": {"mode": "complex", "dim": 2, "data": [[1e300, 0.0], [1.0, 0.0]]},
+    "ideal.json": {"mode": "complex", "rows": 2, "cols": 2,
+                   "data": [[1.0, 0.0], [1.0, 0.0], [1e300, 0.0], [-1e300, 0.0]]},
+}
+
+
+@pytest.mark.parametrize("argv", [
+    ["cone-member", "diag.json", "spectrum.json"],
+    ["--format", "text", "cone-member", "diag.json", "spectrum.json"],
+    ["check-ideal", "ideal.json"],
+    ["check-strong", "diag.json", "spectrum.json"],
+    ["kron", "diag.json", "diag.json"],
+])
+def test_complex_overflow_exits_2_with_one_error_line(tmp_path, argv):
+    """A complex image that overflows is an error in every verb, and numpy
+    prints no warning; a subprocess sees what a user's stderr would."""
+    for name, doc in _OVERFLOW_DOCS.items():
+        (tmp_path / name).write_text(json.dumps(doc))
+    argv = [str(tmp_path / a) if a in _OVERFLOW_DOCS else a for a in argv]
+    result = subprocess.run(
+        [sys.executable, "-m", "perronkron.cli", *argv], capture_output=True, text=True
+    )
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr == "error: complex entries must be finite, got (inf+0j)\n"
