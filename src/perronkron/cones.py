@@ -26,12 +26,13 @@ from .linalg import (
     Tolerance,
     Vector,
     bareiss_eliminate,
-    inf_norm_exact,
+    inf_norm,
     integer_form,
     kron,
     kron_factor,
     kron_vec,
     ones_vector,
+    support,
 )
 from .perron import factor_cone_members, has_unit_inf_norm, in_spectracone
 
@@ -329,13 +330,13 @@ def spectratope_strictness_certificate(
     if not 0 < phi < 1:
         raise ValueError("phi and psi = 1 - phi must both be positive")
     x, y, K_inv = factor_cone_members(S, T, tol)
-    z = kron_vec(_normalized(x), _normalized(y))
+    z = kron_vec(x.scale(1 / inf_norm(x)), y.scale(1 / inf_norm(y)))
     m, n = S.nrows, T.nrows
     e = ones_vector(m * n, z.mode)
     while True:
         psi = 1 - phi
         zp = z.scale(phi) + e.scale(psi)
-        if all(v != 0 for v in zp.entries):
+        if support(zp, Tolerance(0)).all():
             break
         phi = phi / 2
     evidence = TopeStrictnessEvidence(
@@ -348,9 +349,3 @@ def spectratope_strictness_certificate(
         psi=psi,
     )
     return zp, evidence
-
-
-def _normalized(x: Vector) -> Vector:
-    if x.mode == RATIONAL:
-        return x.scale(Fraction(1) / inf_norm_exact(x))
-    return x.scale(1.0 / max(abs(v) for v in x.entries))

@@ -14,7 +14,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import List, Tuple
 
-from .linalg import COMPLEX, Matrix, Tolerance
+from .linalg import Matrix, Tolerance, support
 
 
 class NotIrreducibleError(ValueError):
@@ -36,15 +36,7 @@ def digraph_of(A: Matrix, tol: Tolerance = Tolerance()) -> Digraph:
     """Digraph of the zero pattern of a square matrix."""
     if not A.is_square:
         raise ValueError("digraphs require square matrices")
-    if A.mode == COMPLEX:
-        def nonzero(v):
-            return abs(v) > tol.eps
-    else:
-        def nonzero(v):
-            return v != 0
-    succ = tuple(
-        tuple(j for j, v in enumerate(row) if nonzero(v)) for row in A.entries
-    )
+    succ = tuple(tuple(row.nonzero()[0].tolist()) for row in support(A, tol))
     return Digraph(A.nrows, succ)
 
 

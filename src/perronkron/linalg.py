@@ -17,7 +17,9 @@ Arrays are immutable: callers build a new array instead of mutating one.
 Every rational result passes through one lowest-terms constructor, and
 ``integer_product`` runs each integer operation in int64 or on Python ints.
 Complex elementwise products round exactly as Python's complex product
-does, and every complex result must be finite.
+does, and every complex result must be finite.  The entry tests (``support``,
+``inf_norm``, ``matrices_close``, nonnegativity) live here and read the state;
+a complex modulus is ``hypot(re, im)``, which rounds as Python's ``abs`` does.
 
 Exact elimination has one kernel, ``bareiss_eliminate``: fraction-free
 Gauss-Jordan elimination on Python integers, after E. H. Bareiss,
@@ -514,19 +516,39 @@ def inverse(S: Matrix) -> Matrix:
 
 def p_norm(x: Vector, p: Union[int, float]) -> float:
     """Standard p-norm for p in [1, inf]; the inf-norm is the max modulus."""
-    mags = [abs(complex(v)) if x.mode == COMPLEX else abs(float(v)) for v in x]
     if p == math.inf:
-        return max(mags)
+        return float(inf_norm(x))
     if p < 1:
         raise ValueError(f"p-norms require p >= 1, got {p}")
+    mags = [abs(complex(v)) if x.mode == COMPLEX else abs(float(v)) for v in x]
     return sum(m**p for m in mags) ** (1.0 / p)
+
+
+def inf_norm(x: Vector) -> Union[Fraction, float]:
+    """Infinity norm: exact in rational mode, the largest modulus in complex mode."""
+    if x.mode == RATIONAL:
+        return Fraction(x._state.bound, x._state.den)
+    return float(_moduli(x._state).max())
 
 
 def inf_norm_exact(x: Vector) -> Fraction:
     """Exact infinity norm; rational mode only."""
     if x.mode != RATIONAL:
         raise ModeMismatchError("exact norms require rational mode")
-    return Fraction(x._state.bound, x._state.den)
+    return inf_norm(x)
+
+
+def _moduli(values: np.ndarray) -> np.ndarray:
+    """Each modulus rounded as Python's ``abs`` rounds it; ``np.abs`` need not."""
+    return np.hypot(values.real, values.imag)
+
+
+def support(A: _Array, tol: Tolerance = Tolerance()) -> np.ndarray:
+    """Boolean array of the nonzero entries of A: exact in rational mode,
+    modulus above eps in complex mode.  ``Tolerance(0)`` is exact in both."""
+    if A.mode == RATIONAL:
+        return A._state.num != 0
+    return _moduli(A._state) > tol.eps
 
 
 def is_entrywise_nonneg(A: Matrix, tol: Tolerance = Tolerance()) -> bool:
@@ -547,18 +569,16 @@ def _nonneg(a: _Array, tol: Tolerance, sign: int) -> bool:
     return bool(((np.abs(v.imag) <= tol.eps) & (sign * v.real >= -tol.eps)).all())
 
 
-def matrices_close(A: Matrix, B: Matrix, tol: Tolerance = Tolerance()) -> bool:
-    """Equality test: exact in rational mode, entrywise within eps otherwise."""
+def matrices_close(A: _Array, B: _Array, tol: Tolerance = Tolerance()) -> bool:
+    """Equality test of two vectors or two matrices: exact in rational mode,
+    entrywise within eps otherwise.  Arrays of different shapes differ."""
     _require_same_mode(A, B)
-    if (A.nrows, A.ncols) != (B.nrows, B.ncols):
+    if A._values.shape != B._values.shape:
         return False
     if A.mode == RATIONAL:
         return A == B
-    return all(
-        abs(a - b) <= tol.eps
-        for ra, rb in zip(A.entries, B.entries)
-        for a, b in zip(ra, rb)
-    )
+    with np.errstate(over="ignore"):
+        return bool((_moduli(A._state - B._state) <= tol.eps).all())
 
 
 def kron_factor(

@@ -20,13 +20,15 @@ from .linalg import (
     Tolerance,
     Vector,
     diag_embed,
-    inf_norm_exact,
+    inf_norm,
     inverse,
     is_entrywise_nonneg,
     kron,
     kron_factor,
     kron_vec,
+    matrices_close,
     ones_vector,
+    support,
     vector_is_nonneg,
 )
 
@@ -73,15 +75,15 @@ def in_spectratope(
     tol: Tolerance = Tolerance(),
     sinv: Optional[Matrix] = None,
 ) -> bool:
-    return has_unit_inf_norm(x, tol) and in_spectracone(S, x, tol, sinv)
+    return in_spectracone(S, x, tol, sinv) and has_unit_inf_norm(x, tol)
 
 
 def has_unit_inf_norm(x: Vector, tol: Tolerance = Tolerance()) -> bool:
     """Whether the infinity norm of x is 1: exactly in rational mode, within
     eps in complex mode."""
     if x.mode == RATIONAL:
-        return inf_norm_exact(x) == 1
-    return abs(max(abs(v) for v in x.entries) - 1.0) <= tol.eps
+        return inf_norm(x) == 1
+    return abs(inf_norm(x) - 1.0) <= tol.eps
 
 
 def cone_inequalities(S: Matrix, sinv: Optional[Matrix] = None) -> Matrix:
@@ -159,18 +161,10 @@ def is_ideal(
     """
     if sinv is None:
         sinv = inverse(S)
-    n = S.nrows
-    if S.mode == RATIONAL:
-        has_ones_row = any(all(v == 1 for v in row) for row in S.entries)
-    else:
-        has_ones_row = any(
-            all(abs(v - 1.0) <= tol.eps for v in row) for row in S.entries
-        )
-    if not has_ones_row:
+    rows, ones = S.rows(), ones_vector(S.nrows, S.mode)
+    if not any(matrices_close(row, ones, tol) for row in rows):
         return False
-    return all(
-        in_spectracone(S, S.row(i), tol, sinv) for i in range(n)
-    )
+    return all(in_spectracone(S, row, tol, sinv) for row in rows)
 
 
 def verify_strong_certificate(
@@ -259,7 +253,7 @@ def strict_cone_containment_certificate(
     shift = Fraction(1) if z.mode == RATIONAL else complex(1)
     e = ones_vector(m * n, z.mode)
     zp = z + e.scale(shift)
-    while any(v == 0 for v in zp.entries):
+    while not support(zp, Tolerance(0)).all():
         shift = shift + 1
         zp = z + e.scale(shift)
     evidence = StrictConeEvidence(

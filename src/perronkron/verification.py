@@ -22,11 +22,12 @@ from .linalg import (
     Vector,
     basis_vector,
     diag_kron_identity,
-    inf_norm_exact,
+    inf_norm,
     inverse,
     kron,
     kron_vec,
     p_norm,
+    support,
 )
 
 DEFAULT_SEED = 42
@@ -89,10 +90,7 @@ def _nonneg_row_combination(rng: random.Random, S: Matrix) -> Vector:
     weights = [Fraction(rng.randint(0, 6), rng.randint(1, 3)) for _ in range(S.nrows)]
     if all(w == 0 for w in weights):
         weights[0] = Fraction(1)
-    combo = S.row(0).scale(weights[0])
-    for i in range(1, S.nrows):
-        combo = combo + S.row(i).scale(weights[i])
-    return combo
+    return S.transpose() @ Vector.rational(weights)
 
 
 def _check_index_lemmas(findings: Dict[str, object]) -> None:
@@ -172,8 +170,8 @@ def _check_kron_membership(
             y = _nonneg_row_combination(rng, pd.T)
             if not perron.in_spectracone(pd.K, kron_vec(x, y), tol, pd.K_inv):
                 cone_ok = False
-            xt = x.scale(Fraction(1) / inf_norm_exact(x))
-            yt = y.scale(Fraction(1) / inf_norm_exact(y))
+            xt = x.scale(1 / inf_norm(x))
+            yt = y.scale(1 / inf_norm(y))
             if not perron.in_spectratope(pd.K, kron_vec(xt, yt), tol, pd.K_inv):
                 tope_ok = False
     findings["kron_cone_membership_sampling"] = cone_ok
@@ -212,12 +210,10 @@ def _check_totally_nonzero(
             ok = False
             continue
         x = perron.make_totally_nonzero(S, w, tol, S_inv)
-        entries = x.entries
-        nonconstant = any(v != entries[0] for v in entries)
         if not (
             perron.in_spectracone(S, x, tol, S_inv)
-            and all(v != 0 for v in entries)
-            and nonconstant
+            and support(x, Tolerance(0)).all()
+            and len(set(x)) > 1
         ):
             ok = False
     findings["totally_nonzero_cone_vectors"] = ok

@@ -1,4 +1,6 @@
-"""Source hygiene: no library module imports a name it never uses."""
+"""Source hygiene: no library module imports a name it never uses, and only
+`linalg` and `cones` import numpy, so the array format stays behind `linalg`
+(`cones` hands integer arrays to its Bareiss kernel)."""
 import ast
 from pathlib import Path
 
@@ -33,3 +35,28 @@ def test_every_imported_name_is_used(path):
 def test_the_scan_sees_an_unused_import():
     source = "from .linalg import COMPLEX, RATIONAL\nimport numpy as np\nprint(RATIONAL)\n"
     assert _unused_imports(source) == [(1, "COMPLEX"), (2, "np")]
+
+
+def _imports_numpy(source: str) -> bool:
+    modules = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules.add(node.module)
+    return any(name.split(".")[0] == "numpy" for name in modules)
+
+
+def test_only_linalg_and_cones_import_numpy():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
+    users = sorted(name for name, source in sources.items() if _imports_numpy(source))
+    assert users == ["cones.py", "linalg.py"]
+
+
+@pytest.mark.parametrize("source, expected", [
+    ("import numpy as np\n", True), ("import numpy.linalg\n", True),
+    ("from numpy import array\n", True), ("def f():\n    import numpy\n", True),
+    ("import numbers\nfrom .numpy import x\nfrom .linalg import np\n", False),
+])
+def test_the_scan_sees_a_numpy_import(source, expected):
+    assert _imports_numpy(source) == expected

@@ -15,14 +15,15 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from perronkron.cli import MAX_GEN_ORDER, main
-from perronkron.families import hadamard_like
+from perronkron.families import dft, hadamard_like
 from perronkron import cli
-from perronkron.linalg import Matrix
+from perronkron.linalg import Matrix, Vector
 from perronkron.serialize import (
     matrix_from_dict,
     matrix_to_dict,
     matrix_to_json,
     vector_from_dict,
+    vector_to_dict,
 )
 
 
@@ -215,6 +216,19 @@ def test_malformed_vector_documents_exit_2(text):
         _assert_one_line_error(*_run(["cone-member", matrix, path]))
 
 
+@pytest.mark.parametrize("matrix, vector", [
+    (hadamard_like(2), Vector.rational([1, 2, 3])),
+    (dft(3), Vector.rational([3, 1])),
+    (Matrix.rational([[1, 2], [2, 4]]), Vector.rational([3, 1])),
+], ids=["dimension", "mode", "singular"])
+def test_tope_member_rejects_malformed_operands(tmp_path, matrix, vector):
+    """Operands that cone-member rejects are errors, not a failed norm test."""
+    m, x = tmp_path / "m.json", tmp_path / "x.json"
+    m.write_text(matrix_to_json(matrix))
+    x.write_text(json.dumps(vector_to_dict(vector)))
+    _assert_one_line_error(*_run(["tope-member", str(m), str(x)]))
+
+
 # --- gen size guard ----------------------------------------------------------
 
 
@@ -263,6 +277,7 @@ _OVERFLOW_DOCS = {
     ["--format", "text", "cone-member", "diag.json", "spectrum.json"],
     ["check-ideal", "ideal.json"],
     ["check-strong", "diag.json", "spectrum.json"],
+    ["tope-member", "diag.json", "spectrum.json"],
     ["kron", "diag.json", "diag.json"],
 ])
 def test_complex_overflow_exits_2_with_one_error_line(tmp_path, argv):
