@@ -33,6 +33,7 @@ from .linalg import (
     kron_vec,
     ones_vector,
     support,
+    vector_is_nonneg,
 )
 from .perron import factor_cone_members, has_unit_inf_norm, in_spectracone
 
@@ -279,20 +280,19 @@ def enumerate_extreme_rays(M: Matrix) -> List[Vector]:
     if M.mode != RATIONAL:
         raise ModeMismatchError("extreme-ray enumeration requires rational mode")
     n = M.ncols
-    rows = [row for row in M.entries if any(v != 0 for v in row)]
+    # Numerator rows over M's one denominator span the same kernels.
+    rows = M.array_form().num[support(M).any(axis=1)].tolist()
     rays = {}
     for subset in combinations(range(len(rows)), n - 1):
         kernel = _null_space([rows[i] for i in subset], n)
         if len(kernel) != 1:
             continue
         vec = kernel[0]
-        for candidate in (vec, [-v for v in vec]):
-            if all(
-                sum(r * c for r, c in zip(row, candidate)) >= 0 for row in rows
-            ):
-                canon = _canonical_ray(candidate)
-                if canon is not None:
-                    rays[canon] = Vector(list(canon), RATIONAL)
+        image = M @ Vector(vec, RATIONAL)
+        for sign in (1, -1):
+            if vector_is_nonneg(image, Tolerance(), sign):
+                canon = _canonical_ray([sign * v for v in vec])
+                rays[canon] = Vector(list(canon), RATIONAL)
                 break
     return [rays[key] for key in sorted(rays, key=lambda t: [str(v) for v in t])]
 

@@ -16,10 +16,11 @@ Arrays are immutable: callers build a new array instead of mutating one.
 
 Every rational result passes through one lowest-terms constructor, and
 ``integer_product`` runs each integer operation in int64 or on Python ints.
-Complex elementwise products round exactly as Python's complex product
-does, and every complex result must be finite.  The entry tests (``support``,
-``inf_norm``, ``matrices_close``, nonnegativity) live here and read the state;
-a complex modulus is ``hypot(re, im)``, which rounds as Python's ``abs`` does.
+Every complex product, matmul too, is formed from real and imaginary parts,
+so it rounds as Python's complex product does; every complex result must be
+finite.  The entry tests (``support``, ``inf_norm``, ``matrices_close``,
+nonnegativity) live here and read the state; a complex modulus is
+``hypot(re, im)``, which rounds as Python's ``abs`` does.
 
 Exact elimination has one kernel, ``bareiss_eliminate``: fraction-free
 Gauss-Jordan elimination on Python integers, after E. H. Bareiss,
@@ -142,12 +143,10 @@ def _lowest_terms(num: np.ndarray, den: int) -> IntegerForm:
 
 
 def _complex_product(op, a, b) -> np.ndarray:
-    """``op(a, b)`` on complex operands.  The elementwise products
-    ``np.multiply`` and ``np.kron`` are formed from real and imaginary
-    parts, so each rounds as Python's complex product does."""
+    """``op(a, b)`` on complex operands, formed from real and imaginary
+    parts; each elementwise product rounds as Python's complex product
+    does, and no product reaches complex BLAS."""
     with np.errstate(over="ignore", invalid="ignore"):
-        if op is np.matmul:
-            return a @ b
         real = op(a.real, b.real) - op(a.imag, b.imag)
         imag = op(a.real, b.imag) + op(a.imag, b.real)
     out = real.astype(complex)
@@ -419,6 +418,15 @@ def kron_vec(x: Vector, y: Vector) -> Vector:
     return _product(Vector, x, y, np.kron)
 
 
+def face_split(A: Matrix, B: Matrix) -> Matrix:
+    """Row-wise Kronecker (face-splitting) product: row (i, j), flattened
+    as i * B.nrows + j, is the elementwise product A[i, :] * B[j, :]."""
+    _require_same_mode(A, B)
+    if A.ncols != B.ncols:
+        raise ValueError("shape mismatch")
+    return _product(Matrix, A, B, lambda a, b: (a[:, None] * b).reshape(-1, a.shape[1]))
+
+
 def diag_embed(x: Vector) -> Matrix:
     """Diagonal matrix with x on the diagonal."""
     return x._with_values(Matrix, np.diag(x._values))
@@ -487,19 +495,14 @@ def inverse(S: Matrix) -> Matrix:
     n = S.nrows
     if S.mode == RATIONAL:
         form = S.array_form()
-        aug = np.zeros((n, 2 * n), dtype=object)
-        aug[:, :n] = form.num
-        aug[:, n:] = np.identity(n, dtype=int)
+        aug = np.hstack([form.num, np.identity(n, dtype=int)]).astype(object)
         pivots, det = bareiss_eliminate(aug)
         if pivots[:n] != list(range(n)):
             col = next(c for c, p in enumerate(pivots + [n]) if c != p)
             raise SingularMatrixError(f"no pivot in column {col + 1}")
         num = aug[:, n:] * (form.den if det > 0 else -form.den)
         return Matrix._rational(num, abs(det))
-    aug = [
-        list(row) + [complex(i == j) for j in range(n)]
-        for i, row in enumerate(S.entries)
-    ]
+    aug = np.hstack([S.array_form(), np.identity(n)]).tolist()
     for col in range(n):
         pivot_row = max(range(col, n), key=lambda r: abs(aug[r][col]))
         if abs(aug[pivot_row][col]) == 0:
@@ -520,7 +523,7 @@ def p_norm(x: Vector, p: Union[int, float]) -> float:
         return float(inf_norm(x))
     if p < 1:
         raise ValueError(f"p-norms require p >= 1, got {p}")
-    mags = [abs(complex(v)) if x.mode == COMPLEX else abs(float(v)) for v in x]
+    mags = [abs(v) for v in x.to_complex().array_form().tolist()]
     return sum(m**p for m in mags) ** (1.0 / p)
 
 
@@ -539,8 +542,10 @@ def inf_norm_exact(x: Vector) -> Fraction:
 
 
 def _moduli(values: np.ndarray) -> np.ndarray:
-    """Each modulus rounded as Python's ``abs`` rounds it; ``np.abs`` need not."""
-    return np.hypot(values.real, values.imag)
+    """Each modulus rounded as Python's ``abs`` rounds it; ``np.abs`` need not.
+    A modulus beyond the largest float is inf."""
+    with np.errstate(over="ignore"):
+        return np.hypot(values.real, values.imag)
 
 
 def support(A: _Array, tol: Tolerance = Tolerance()) -> np.ndarray:
@@ -592,33 +597,33 @@ def kron_factor(
     """
     if z.dim != m * n:
         raise ValueError(f"dimension mismatch: {z.dim} != {m} * {n}")
-    rows = [z.entries[i * n : (i + 1) * n] for i in range(m)]
+    Z = z._values.reshape(m, n)
     if z.mode == RATIONAL:
-        def nonzero(v):
-            return v != 0
+        nonzero = Z != 0
     else:
-        scale = max(abs(v) for v in z.entries)
+        scale = inf_norm(z)
+        if scale == math.inf:
+            raise OverflowError("absolute value too large")
         thresh = tol.eps * max(scale, 1.0)
-
-        def nonzero(v):
-            return abs(v) > thresh
-
-    pivot = next(
-        ((i, j) for i, row in enumerate(rows) for j, v in enumerate(row) if nonzero(v)),
-        None,
-    )
-    if pivot is None:
+        nonzero = _moduli(Z) > thresh
+    if not nonzero.any():
         # z = 0 reshapes to the zero matrix (rank 0); any y works with x = 0.
         return Vector([0] * m, z.mode), Vector([1] + [0] * (n - 1), z.mode)
-    i0, j0 = pivot
-    y = [v / rows[i0][j0] for v in rows[i0]]
-    x = [rows[i][j0] for i in range(m)]
-    for i in range(m):
-        for j in range(n):
-            expected = x[i] * y[j]
-            if z.mode == RATIONAL:
-                if rows[i][j] != expected:
-                    return None
-            elif abs(rows[i][j] - expected) > thresh:
-                return None
-    return Vector(x, z.mode), Vector(y, z.mode)
+    i0, j0 = divmod(int(np.flatnonzero(nonzero)[0]), n)
+    col, row = Z[:, j0], Z[i0]
+    if z.mode == RATIONAL:
+        # Z / d has rank 1 iff Z[i, j] * p == Z[i, j0] * Z[i0, j] for the pivot p.
+        p, bound = int(Z[i0, j0]), z._state.bound ** 2
+        lhs = integer_product(np.multiply, Z, p, bound=bound)
+        if not np.array_equal(lhs, integer_product(np.outer, col, row, bound=bound)):
+            return None
+        y = row if p > 0 else -row
+        return Vector._rational(col, z._den), Vector._rational(y, abs(p))
+    # Python's complex division, which numpy's need not match.
+    p = complex(Z[i0, j0])
+    y = np.array([v / p for v in row.tolist()], dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual = _moduli(Z - _complex_product(np.outer, col, y))
+    if (residual > thresh).any():
+        return None
+    return Vector._complex(col), Vector._complex(y)

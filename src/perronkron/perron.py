@@ -20,6 +20,7 @@ from .linalg import (
     Tolerance,
     Vector,
     diag_embed,
+    face_split,
     inf_norm,
     inverse,
     is_entrywise_nonneg,
@@ -97,13 +98,7 @@ def cone_inequalities(S: Matrix, sinv: Optional[Matrix] = None) -> Matrix:
         raise ValueError("cone inequalities require square matrices")
     if sinv is None:
         sinv = inverse(S)
-    n = S.nrows
-    rows = [
-        [S.entries[i][k] * sinv.entries[k][j] for k in range(n)]
-        for i in range(n)
-        for j in range(n)
-    ]
-    return Matrix(rows, S.mode)
+    return face_split(S, sinv.transpose())
 
 
 def find_perron_witness(

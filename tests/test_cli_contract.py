@@ -1,5 +1,5 @@
 """CLI contract: malformed input exits 2 with a one-line error, and the
-seed-42 verify-paper report is byte-stable."""
+verify-paper reports for seeds 42, 1 and 7 are byte-stable."""
 import hashlib
 import json
 
@@ -14,6 +14,11 @@ from perronkron.serialize import matrix_to_json, vector_to_dict
 VERIFY_PAPER_SEED_42_SHA256 = (
     "3e3304bbaf6b8ecab3ea5460571ab92c2bab9738a4102b66f17aecf7bc1c1ea8"
 )
+# sha256 of the stdout of `perronkron --seed N verify-paper` for other seeds.
+VERIFY_PAPER_SHA256 = {
+    1: "94f36e20cbcad70130cbca7b166f4e4b37f2722e71e64fd4b556edcbad279a7c",
+    7: "b2c1b79fb18297182b13f6d7f21c4116e1c4230c4f3bcf4bbf30c5dee7be70a8",
+}
 
 
 def _assert_one_line_error(code, err):
@@ -45,6 +50,13 @@ def test_verify_paper_seed_42_report_is_pinned(capsys):
     assert main(["--seed", "42", "verify-paper"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_PAPER_SEED_42_SHA256
+
+
+@pytest.mark.parametrize("seed", sorted(VERIFY_PAPER_SHA256))
+def test_verify_paper_report_is_pinned_for_other_seeds(seed, capsys):
+    assert main(["--seed", str(seed), "verify-paper"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_PAPER_SHA256[seed]
 
 
 @pytest.mark.parametrize("eps", [-1.0, float("inf"), float("-inf"), float("nan")])

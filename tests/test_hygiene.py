@@ -1,6 +1,7 @@
-"""Source hygiene: no library module imports a name it never uses, and only
+"""Source hygiene: no library module imports a name it never uses, only
 `linalg` and `cones` import numpy, so the array format stays behind `linalg`
-(`cones` hands integer arrays to its Bareiss kernel)."""
+(`cones` hands integer arrays to its Bareiss kernel), and the `entries` view
+is read only where values leave the library."""
 import ast
 from pathlib import Path
 
@@ -60,3 +61,52 @@ def test_only_linalg_and_cones_import_numpy():
 ])
 def test_the_scan_sees_a_numpy_import(source, expected):
     assert _imports_numpy(source) == expected
+
+
+# Where the `Fraction`/`complex` view may be read: modules whose values leave
+# the library (the wire format, the report), the exact LP system, and the
+# view's own members.  Everything else computes on the array state.
+VIEW_CLIENTS = {"serialize.py", "verification.py"}
+VIEW_READERS = {
+    "cones.py": {"_membership_system"},
+    "linalg.py": {"__repr__", "__iter__", "__getitem__"},
+}
+
+
+def _entries_reads(source: str):
+    """(line, innermost enclosing function) of each read of `.entries`."""
+    reads = []
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if (
+                isinstance(child, ast.Attribute)
+                and child.attr == "entries"
+                and isinstance(child.ctx, ast.Load)
+            ):
+                reads.append((child.lineno, func))
+            visit(child, func)
+
+    visit(ast.parse(source), None)
+    return reads
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name not in VIEW_CLIENTS], ids=lambda p: p.name
+)
+def test_entries_is_read_only_where_values_leave_the_library(path):
+    allowed = VIEW_READERS.get(path.name, set())
+    reads = _entries_reads(path.read_text(encoding="utf-8"))
+    assert [(line, func) for line, func in reads if func not in allowed] == []
+
+
+def test_the_scan_sees_an_entries_read():
+    source = (
+        "def f(x):\n    return sum(x.entries)\n"
+        "def g(x):\n    x.entries = 1\n    return x._entries\n"
+        "class A:\n    def h(self):\n        def k():\n            return self.entries\n"
+    )
+    assert _entries_reads(source) == [(2, "f"), (9, "k")]
