@@ -22,7 +22,8 @@ from .verification import DEFAULT_SEED, report, run_verification_suite
 
 
 # Largest order `gen` builds: `gen hadamard 11` (order 1024) is the largest
-# Hadamard matrix, and `gen dft`/`gen cycle` stop at 1024.
+# Hadamard matrix, and `gen dft`/`gen cycle` stop at 1024.  `kron` forms no
+# product with more rows or columns.
 MAX_GEN_ORDER = 1024
 
 
@@ -138,7 +139,14 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_kron(args) -> int:
-    return _emit_matrix(kron(_load_matrix(args.left), _load_matrix(args.right)), args)
+    A, B = _load_matrix(args.left), _load_matrix(args.right)
+    rows, cols = A.nrows * B.nrows, A.ncols * B.ncols
+    if max(rows, cols) > MAX_GEN_ORDER:
+        raise CliError(
+            f"kron builds products of up to {MAX_GEN_ORDER} rows and columns, "
+            f"not {rows}x{cols}"
+        )
+    return _emit_matrix(kron(A, B), args)
 
 
 def _cmd_invert(args) -> int:

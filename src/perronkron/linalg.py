@@ -187,6 +187,18 @@ class _Array:
         return array
 
     @classmethod
+    def _of_ints(cls, values: np.ndarray, mode: str):
+        """The array of the int64 ``values`` in ``mode``, built without
+        coercing each entry."""
+        if not values.size:
+            raise ValueError(cls._empty_error)
+        if mode == RATIONAL:
+            return cls._of(RATIONAL, IntegerForm(values, 1, int(abs(values).max())))
+        if mode == COMPLEX:
+            return cls._of(COMPLEX, values.astype(complex))
+        raise ValueError(f"unknown scalar mode {mode!r}")
+
+    @classmethod
     def _rational(cls, num: np.ndarray, den: int):
         """The rational array ``num / den`` in lowest terms."""
         return cls._of(RATIONAL, _lowest_terms(num, den))
@@ -307,11 +319,12 @@ class Vector(_Array):
 
     __slots__ = ()
     _shape_error = "dimension mismatch"
+    _empty_error = "vectors must be nonempty"
 
     def __init__(self, entries: Iterable[ScalarInput], mode: str):
         entries = [_coerce(v, mode) for v in entries]
         if not entries:
-            raise ValueError("vectors must be nonempty")
+            raise ValueError(self._empty_error)
         self._set_input(entries, mode)
 
     @property
@@ -332,11 +345,13 @@ def basis_vector(n: int, k: int, mode: str = RATIONAL) -> Vector:
     """Canonical basis vector e_k (1-based) in dimension n."""
     if not 1 <= k <= n:
         raise ValueError(f"basis index {k} out of range for dimension {n}")
-    return Vector([int(i == k - 1) for i in range(n)], mode)
+    values = np.zeros(n, dtype=np.int64)
+    values[k - 1] = 1
+    return Vector._of_ints(values, mode)
 
 
 def ones_vector(n: int, mode: str = RATIONAL) -> Vector:
-    return Vector([1] * n, mode)
+    return Vector._of_ints(np.ones(max(n, 0), dtype=np.int64), mode)
 
 
 class Matrix(_Array):
@@ -344,11 +359,12 @@ class Matrix(_Array):
 
     __slots__ = ()
     _shape_error = "shape mismatch"
+    _empty_error = "matrices must be nonempty"
 
     def __init__(self, rows: Sequence[Sequence[ScalarInput]], mode: str):
         entries = [[_coerce(v, mode) for v in row] for row in rows]
         if not entries or not entries[0]:
-            raise ValueError("matrices must be nonempty")
+            raise ValueError(self._empty_error)
         width = len(entries[0])
         if any(len(row) != width for row in entries):
             raise ValueError("all rows must have equal length")
@@ -356,7 +372,7 @@ class Matrix(_Array):
 
     @classmethod
     def identity(cls, n: int, mode: str = RATIONAL) -> "Matrix":
-        return cls([[int(i == j) for j in range(n)] for i in range(n)], mode)
+        return cls._of_ints(np.identity(max(n, 0), dtype=np.int64), mode)
 
     @property
     def nrows(self) -> int:

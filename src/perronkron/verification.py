@@ -22,8 +22,10 @@ from .linalg import (
     Vector,
     basis_vector,
     diag_kron_identity,
+    face_split,
     inf_norm,
     inverse,
+    is_entrywise_nonneg,
     kron,
     kron_vec,
     p_norm,
@@ -31,6 +33,10 @@ from .linalg import (
 )
 
 DEFAULT_SEED = 42
+
+# Most image entries one stacked membership product may hold; it sets how
+# many Kronecker samples a product decides at once.
+_CHUNK_ENTRIES = 2**14
 
 
 def _catalog() -> List[Tuple[str, Matrix]]:
@@ -85,12 +91,45 @@ def _random_complex_vector(rng: random.Random, n: int) -> Vector:
     )
 
 
-def _nonneg_row_combination(rng: random.Random, S: Matrix) -> Vector:
-    """Random nonnegative rational combination of the rows of S."""
-    weights = [Fraction(rng.randint(0, 6), rng.randint(1, 3)) for _ in range(S.nrows)]
-    if all(w == 0 for w in weights):
-        weights[0] = Fraction(1)
-    return S.transpose() @ Vector.rational(weights)
+def _kron_samples(
+    rng: random.Random, S: Matrix, T: Matrix, count: int
+) -> Tuple[Matrix, Matrix, Matrix]:
+    """``count`` samples as the rows of X, Y and Z: x_b and y_b are random
+    nonnegative rational combinations of the rows of S and T, and row b of
+    Z is x_b (x) y_b.
+
+    Each sample draws S's weights, then T's; weights that are all zero
+    become e_1.
+    """
+    weights: Tuple[List[list], List[list]] = ([], [])
+    for _ in range(count):
+        for rows, M in zip(weights, (S, T)):
+            w = [Fraction(rng.randint(0, 6), rng.randint(1, 3)) for _ in range(M.nrows)]
+            if all(v == 0 for v in w):
+                w[0] = Fraction(1)
+            rows.append(w)
+    X = Matrix.rational(weights[0]) @ S
+    Y = Matrix.rational(weights[1]) @ T
+    return X, Y, face_split(X.transpose(), Y.transpose()).transpose()
+
+
+def _decide_kron_samples(
+    pd: _PairData, X: Matrix, Y: Matrix, Z: Matrix
+) -> Tuple[bool, bool]:
+    """Whether every z_b is in C(K), and every x_b (x) y_b scaled by the
+    infinity norms of x_b and y_b is in the spectratope of K.
+
+    Row block b of ``face_split(Z, K) @ K^{-1}`` is K diag(z_b) K^{-1}, so
+    one exact product decides every z_b.  The scaled product is a positive
+    multiple of z_b, in the cone iff z_b is, and of norm 1 iff
+    ||z_b|| = ||x_b|| ||y_b||.
+    """
+    in_cone = is_entrywise_nonneg(face_split(Z, pd.K) @ pd.K_inv)
+    unit_norms = all(
+        inf_norm(z) == inf_norm(x) * inf_norm(y)
+        for x, y, z in zip(X.rows(), Y.rows(), Z.rows())
+    )
+    return in_cone, in_cone and unit_norms
 
 
 def _check_index_lemmas(findings: Dict[str, object]) -> None:
@@ -156,7 +195,6 @@ def _check_kron_membership(
     findings: Dict[str, object],
     pairs: Dict[Tuple[str, str], _PairData],
     rng: random.Random,
-    tol: Tolerance,
     samples: int = 200,
 ) -> None:
     cone_ok = True
@@ -164,15 +202,13 @@ def _check_kron_membership(
     for (name_s, name_t), pd in sorted(pairs.items()):
         if pd.K.mode != RATIONAL:
             continue
-        for _ in range(samples):
-            x = _nonneg_row_combination(rng, pd.S)
-            y = _nonneg_row_combination(rng, pd.T)
-            if not perron.in_spectracone(pd.K, kron_vec(x, y), tol, pd.K_inv):
-                cone_ok = False
-            xt = x.scale(1 / inf_norm(x))
-            yt = y.scale(1 / inf_norm(y))
-            if not perron.in_spectratope(pd.K, kron_vec(xt, yt), tol, pd.K_inv):
-                tope_ok = False
+        chunk = max(1, _CHUNK_ENTRIES // pd.K.nrows**2)
+        for start in range(0, samples, chunk):
+            cone, tope = _decide_kron_samples(
+                pd, *_kron_samples(rng, pd.S, pd.T, min(chunk, samples - start))
+            )
+            cone_ok = cone_ok and cone
+            tope_ok = tope_ok and tope
     findings["kron_cone_membership_sampling"] = cone_ok
     findings["kron_tope_membership_sampling"] = tope_ok
 
@@ -371,7 +407,7 @@ def run_verification_suite(
 
     _check_index_lemmas(findings)
     _check_kron_identities(findings, rng)
-    _check_kron_membership(findings, pairs, rng, tol)
+    _check_kron_membership(findings, pairs, rng)
     _check_kron_witnesses(findings, pairs, tol)
     _check_totally_nonzero(findings, catalog, inverses, tol)
     _check_strict_containment(findings, pairs, tol)

@@ -197,14 +197,17 @@ def test_all_ones_row_test_matches_the_entry_loop(seed, monkeypatch):
 
 
 def test_row_combination_matches_the_loop_and_draws_alike():
+    """The Kronecker sampler draws x from S's rows, then y from T's, as two
+    calls of the loop would."""
     rng = random.Random(3)
     matrices = [hadamard_like(n) for n in (2, 3, 4)]
     matrices += [verification._random_rational_matrix(rng, n, n) for n in (1, 2, 5, 6)]
     for seed in range(20):
         old, new = random.Random(seed), random.Random(seed)
-        for S in matrices:
-            combination = verification._nonneg_row_combination(new, S)
-            assert combination == old_row_combination(old, S)
+        for S, T in zip(matrices, matrices[1:] + matrices[:1]):
+            X, Y, _ = verification._kron_samples(new, S, T, 1)
+            assert X.row(0) == old_row_combination(old, S)
+            assert Y.row(0) == old_row_combination(old, T)
             assert new.getstate() == old.getstate()
 
 
@@ -213,8 +216,9 @@ def test_row_combination_with_all_weights_zero_is_the_first_row():
         def randint(self, a, b):
             return a
 
-    S = hadamard_like(3)
-    assert verification._nonneg_row_combination(Lowest(), S) == S.row(0)
+    S, T = hadamard_like(3), hadamard_like(2)
+    X, Y, _ = verification._kron_samples(Lowest(), S, T, 2)
+    assert X.rows() == [S.row(0)] * 2 and Y.rows() == [T.row(0)] * 2
     assert old_row_combination(Lowest(), S) == S.row(0)
 
 

@@ -1,5 +1,5 @@
-"""Input boundary: the wire format decodes strictly, `gen` refuses oversized
-orders, and every malformed document exits 2 with one `error:` line."""
+"""Input boundary: the wire format decodes strictly, `gen` and `kron` refuse
+oversized orders, and every malformed document exits 2 with one `error:` line."""
 import contextlib
 import io
 import json
@@ -259,6 +259,62 @@ def test_gen_admits_orders_up_to_the_limit(monkeypatch, family, arg):
 @pytest.mark.parametrize("row", ["1/0", "1,2/0,3"])
 def test_gen_circulant_zero_denominator_exits_2(row):
     _assert_one_line_error(*_run(["gen", "circulant", row]))
+
+
+# --- kron size guard ---------------------------------------------------------
+
+
+def _ones(rows, cols):
+    return Matrix.rational([[1] * cols for _ in range(rows)])
+
+
+def _kron_files(tmp_path, left, right):
+    paths = [str(tmp_path / "left.json"), str(tmp_path / "right.json")]
+    for path, (rows, cols) in zip(paths, (left, right)):
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(matrix_to_json(_ones(rows, cols)))
+    return paths
+
+
+@pytest.mark.parametrize(
+    "left, right",
+    [((64, 64), (32, 32)), ((33, 1), (32, 1)), ((1, 32), (1, 33)),
+     ((1025, 1), (1, 1)), ((1, 40), (2, 30))],
+)
+def test_kron_rejects_products_above_the_limit(tmp_path, monkeypatch, left, right):
+    """No product array is formed: the guard runs on the operands' shapes."""
+    def never(*args):
+        raise AssertionError("kron formed an oversized product")
+
+    monkeypatch.setattr(cli, "kron", never)
+    code, err = _run(["kron", *_kron_files(tmp_path, left, right)])
+    _assert_one_line_error(code, err)
+    rows, cols = left[0] * right[0], left[1] * right[1]
+    assert err == (
+        f"error: kron builds products of up to {MAX_GEN_ORDER} rows and columns, "
+        f"not {rows}x{cols}\n"
+    )
+
+
+def test_gen_cycle_products_over_the_limit_exit_2(tmp_path):
+    """`gen cycle 64` (x) `gen cycle 32` has order 2048."""
+    paths = []
+    for n in (64, 32):
+        paths.append(str(tmp_path / f"c{n}.json"))
+        assert main(["--output", paths[-1], "gen", "cycle", str(n)]) == 0
+    _assert_one_line_error(*_run(["kron", *paths]))
+
+
+@pytest.mark.parametrize(
+    "left, right", [((32, 32), (32, 32)), ((32, 1), (32, 1)), ((1, 1024), (1, 1))]
+)
+def test_kron_admits_products_up_to_the_limit(tmp_path, monkeypatch, left, right):
+    """Products of exactly the limit reach ``kron`` (stubbed)."""
+    shapes = []
+    stub = lambda A, B: shapes.append((A.nrows, A.ncols, B.nrows, B.ncols)) or A  # noqa: E731
+    monkeypatch.setattr(cli, "kron", stub)
+    code, err = _run(["kron", *_kron_files(tmp_path, left, right)])
+    assert (code, err, shapes) == (0, "", [left + right])
 
 
 # --- complex overflow -------------------------------------------------------

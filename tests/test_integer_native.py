@@ -254,6 +254,57 @@ def test_entries_view_is_built_once_and_arithmetic_never_coerces(monkeypatch):
     assert calls == [2]
 
 
+def _same_state(got, expected):
+    a, b = got.array_form(), expected.array_form()
+    if got.mode == "rational":
+        assert (a.den, a.bound, a.num.dtype) == (b.den, b.bound, b.num.dtype)
+        a, b = a.num, b.num
+    assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("mode", ["rational", "complex"])
+@pytest.mark.parametrize("n", [1, 2, 5, 16])
+def test_unit_constructors_match_the_coerced_construction(monkeypatch, mode, n):
+    """basis_vector, ones_vector and Matrix.identity build their state
+    directly: state, view and hash equal those of coerced input."""
+    coerced = {
+        "ones": Vector([1] * n, mode),
+        "identity": Matrix([[int(i == j) for j in range(n)] for i in range(n)], mode),
+    }
+    for k in range(1, n + 1):
+        coerced[k] = Vector([int(i == k - 1) for i in range(n)], mode)
+    calls = []
+    monkeypatch.setattr(linalg, "_coerce", lambda v, m: calls.append(v))
+    built = {
+        "ones": linalg.ones_vector(n, mode),
+        "identity": Matrix.identity(n, mode),
+        **{k: linalg.basis_vector(n, k, mode) for k in range(1, n + 1)},
+    }
+    assert calls == []
+    monkeypatch.undo()
+    for key, expected in coerced.items():
+        got = built[key]
+        _same_state(got, expected)
+        assert got == expected and hash(got) == hash(expected)
+        assert got.entries == expected.entries
+        flat = [v for row in got.entries for v in (row if key == "identity" else [row])]
+        assert {type(v) for v in flat} == {Fraction if mode == "rational" else complex}
+
+
+def test_unit_constructors_reject_unknown_modes_and_empty_shapes():
+    for build in (lambda m: linalg.ones_vector(3, m), lambda m: Matrix.identity(3, m),
+                  lambda m: linalg.basis_vector(3, 2, m)):
+        with pytest.raises(ValueError, match="unknown scalar mode 'real'"):
+            build("real")
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="vectors must be nonempty"):
+            linalg.ones_vector(n)
+        with pytest.raises(ValueError, match="matrices must be nonempty"):
+            Matrix.identity(n, "complex")
+    with pytest.raises(ValueError, match="basis index 1 out of range for dimension 0"):
+        linalg.basis_vector(0, 1)
+
+
 def _complex_matrix(rng, m, n):
     def entry():
         return complex(rng.choice([-1, 1]) * rng.random() * 10 ** rng.randint(-3, 3),
