@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
@@ -52,18 +53,23 @@ def _write_text(path: Optional[str], text: str) -> None:
         raise CliError(f"cannot write {path}: {exc}") from exc
 
 
-def _load_matrix(path: str) -> Matrix:
+@contextmanager
+def _invalid_file(kind: str, path: str):
+    # A document nested too deep for the JSON parser is malformed too.
     try:
+        yield
+    except (ValueError, KeyError, TypeError, RecursionError) as exc:
+        raise CliError(f"invalid {kind} file {path}: {exc}") from exc
+
+
+def _load_matrix(path: str) -> Matrix:
+    with _invalid_file("matrix", path):
         return serialize.matrix_from_json(_read_text(path))
-    except (ValueError, KeyError, TypeError) as exc:
-        raise CliError(f"invalid matrix file {path}: {exc}") from exc
 
 
 def _load_vector(path: str) -> Vector:
-    try:
+    with _invalid_file("vector", path):
         return serialize.vector_from_json(_read_text(path))
-    except (ValueError, KeyError, TypeError) as exc:
-        raise CliError(f"invalid vector file {path}: {exc}") from exc
 
 
 def _jsonable(value):
@@ -139,14 +145,24 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_kron(args) -> int:
-    A, B = _load_matrix(args.left), _load_matrix(args.right)
-    rows, cols = A.nrows * B.nrows, A.ncols * B.ncols
+    # The headers give the product's shape: refuse it before decoding entries.
+    docs = []
+    for path in (args.left, args.right):
+        with _invalid_file("matrix", path):
+            doc = json.loads(_read_text(path))
+            docs.append((path, doc, serialize.document_sizes(doc, "rows", "cols")))
+    (_, _, (m, n)), (_, _, (p, q)) = docs
+    rows, cols = m * p, n * q
     if max(rows, cols) > MAX_GEN_ORDER:
         raise CliError(
             f"kron builds products of up to {MAX_GEN_ORDER} rows and columns, "
             f"not {rows}x{cols}"
         )
-    return _emit_matrix(kron(A, B), args)
+    factors = []
+    for path, doc, _ in docs:
+        with _invalid_file("matrix", path):
+            factors.append(serialize.matrix_from_dict(doc))
+    return _emit_matrix(kron(*factors), args)
 
 
 def _cmd_invert(args) -> int:

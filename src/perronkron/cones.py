@@ -261,27 +261,28 @@ def _null_space(rows: List[List[Fraction]], n: int) -> List[List[Fraction]]:
     return basis
 
 
-def _canonical_ray(entries: List[Fraction]) -> Optional[Tuple[Fraction, ...]]:
-    """Scale by a positive factor so the largest magnitude entry is +/-1."""
+def _canonical_ray(entries: List[Fraction]) -> Tuple[Fraction, ...]:
+    """Scale a nonzero vector so its largest magnitude entry is +/-1."""
     biggest = max(abs(v) for v in entries)
-    if biggest == 0:
-        return None
     return tuple(v / biggest for v in entries)
 
 
 def enumerate_extreme_rays(M: Matrix) -> List[Vector]:
     """Extreme rays of {x | M x >= 0} by tight-constraint enumeration.
 
-    Naive double-description cross-check: every (n-1)-subset of constraint
-    rows with a one-dimensional kernel whose kernel vector (or its
-    negation) satisfies all constraints yields a candidate ray.  Rational
-    mode only; intended for small n.
+    Naive double-description cross-check: every (n-1)-subset of distinct
+    constraint directions with a one-dimensional kernel whose kernel vector
+    (or its negation) satisfies all constraints yields a candidate ray.
+    Rational mode only; intended for small n.
     """
     if M.mode != RATIONAL:
         raise ModeMismatchError("extreme-ray enumeration requires rational mode")
     n = M.ncols
-    # Numerator rows over M's one denominator span the same kernels.
-    rows = M.array_form().num[support(M).any(axis=1)].tolist()
+    # Numerator rows over M's one denominator span the same kernels, and a
+    # subset that repeats a direction has rank below n - 1.
+    rows = M.array_form().num[support(M).any(axis=1)]
+    rows = rows // np.gcd.reduce(rows, axis=1)[:, None]
+    rows = list(dict.fromkeys(map(tuple, rows.tolist())))
     rays = {}
     for subset in combinations(range(len(rows)), n - 1):
         kernel = _null_space([rows[i] for i in subset], n)
@@ -320,9 +321,9 @@ def spectratope_strictness_certificate(
 ) -> Tuple[Vector, TopeStrictnessEvidence]:
     """Certificate that P(S) (x) P(T) is strictly inside P(S (x) T).
 
-    Builds totally nonzero non-constant spectratope members x, y from the
-    factors' witnesses, forms z = x (x) y, and blends z' = phi*z + psi*e
-    with phi + psi = 1, halving phi until z' is totally nonzero.  z' lies
+    Builds non-constant spectratope members x, y with entries 2/3 and 1
+    from the factors' witnesses, forms z = x (x) y >= 4/9, and blends the
+    totally nonzero z' = phi*z + psi*e > psi with phi + psi = 1.  z' lies
     in the cone with infinity norm 1 but admits no Kronecker factorization.
     """
     if S.nrows < 2 or T.nrows < 2:
@@ -332,13 +333,8 @@ def spectratope_strictness_certificate(
     x, y, K_inv = factor_cone_members(S, T, tol)
     z = kron_vec(x.scale(1 / inf_norm(x)), y.scale(1 / inf_norm(y)))
     m, n = S.nrows, T.nrows
-    e = ones_vector(m * n, z.mode)
-    while True:
-        psi = 1 - phi
-        zp = z.scale(phi) + e.scale(psi)
-        if support(zp, Tolerance(0)).all():
-            break
-        phi = phi / 2
+    psi = 1 - phi
+    zp = z.scale(phi) + ones_vector(m * n, z.mode).scale(psi)
     evidence = TopeStrictnessEvidence(
         member_cone=in_spectracone(kron(S, T), zp, tol, K_inv),
         # The blend has entry phi*1 + psi = 1 where both factors attain their

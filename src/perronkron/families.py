@@ -6,7 +6,7 @@ from __future__ import annotations
 import cmath
 from typing import Optional, Tuple
 
-from .linalg import COMPLEX, Matrix, Tolerance, Vector, matrices_close
+from .linalg import COMPLEX, Matrix, Tolerance, Vector, basis_vector, kron, matrices_close
 from .perron import similarity_image
 
 
@@ -22,8 +22,6 @@ def hadamard_like(n: int) -> Matrix:
     """
     if n < 2:
         raise ValueError(f"recursion depth must be at least 2, got {n}")
-    from .linalg import kron
-
     h2 = Matrix.rational([[1, 1], [1, -1]])
     result = h2
     for _ in range(n - 2):
@@ -51,28 +49,19 @@ def cycle_companion(n: int) -> Matrix:
     """Companion matrix of t**n - 1: the n-cycle 0/1 permutation matrix.
 
     Entry (i, i+1) is 1 for i < n and entry (n, 1) is 1; for n = 1 this is
-    the 1-by-1 identity.  Rational mode.
+    the 1-by-1 identity.  It is the circulant of e_2 (e_1 at order 1).
+    Rational mode.
     """
     if n < 1:
         raise ValueError(f"order must be positive, got {n}")
-    return Matrix.rational(
-        [[1 if j == (i + 1) % n else 0 for j in range(n)] for i in range(n)]
-    )
+    return circulant(basis_vector(n, min(n, 2)))
 
 
 def circulant(c: Vector) -> Matrix:
-    """Circulant with first row c, built as sum_k c_k C**(k-1) with C the
-    cycle companion matrix (so the companion code path is exercised)."""
-    n = c.dim
-    C = cycle_companion(n)
-    if c.mode == COMPLEX:
-        C = C.to_complex()
-    power = Matrix.identity(n, c.mode)
-    total = power.scale(c[0])
-    for k in range(1, n):
-        power = power @ C
-        total = total + power.scale(c[k])
-    return total
+    """Circulant with first row c: entry (i, j) is c[(j - i) mod n], which is
+    sum_k c_k C**(k-1) for the cycle companion matrix C."""
+    n, row = c.dim, list(c)
+    return Matrix([row[n - i :] + row[: n - i] for i in range(n)], c.mode)
 
 
 def extremal_row_image(
@@ -80,19 +69,15 @@ def extremal_row_image(
 ) -> Matrix:
     """Similarity image of row k of the order-n DFT matrix.
 
-    The image must equal the (k-1)-th power of the cycle companion matrix;
-    a mismatch raises VerificationFailedError.  Pass the inverse of
-    ``dft(n)`` as ``sinv`` to skip elimination.
+    The image must equal the (k-1)-th power of the cycle companion matrix,
+    the circulant of e_k; a mismatch raises VerificationFailedError.  Pass
+    the inverse of ``dft(n)`` as ``sinv`` to skip elimination.
     """
     if not 1 <= k <= n:
         raise ValueError(f"row index {k} out of range for order {n}")
     F = dft(n)
     image = similarity_image(F, F.row(k - 1), sinv)
-    C = cycle_companion(n).to_complex()
-    expected = Matrix.identity(n, COMPLEX)
-    for _ in range(k - 1):
-        expected = expected @ C
-    if not matrices_close(image, expected, tol):
+    if not matrices_close(image, circulant(basis_vector(n, k, COMPLEX)), tol):
         raise VerificationFailedError(
             f"row {k} image of the order-{n} DFT matrix does not match the "
             f"companion power"

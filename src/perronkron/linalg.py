@@ -550,6 +550,13 @@ def inf_norm(x: Vector) -> Union[Fraction, float]:
     return float(_moduli(x._state).max())
 
 
+def row_inf_norms(A: Matrix) -> List[Union[Fraction, float]]:
+    """``inf_norm`` of each row of A, read off the state."""
+    if A.mode == RATIONAL:
+        return [Fraction(v, A._den) for v in abs(A._values).max(axis=1).tolist()]
+    return _moduli(A._state).max(axis=1).tolist()
+
+
 def inf_norm_exact(x: Vector) -> Fraction:
     """Exact infinity norm; rational mode only."""
     if x.mode != RATIONAL:

@@ -12,7 +12,7 @@ import json
 import math
 import re
 from fractions import Fraction
-from typing import Any, Dict
+from typing import Any, Dict, Tuple
 
 from .linalg import COMPLEX, RATIONAL, Matrix, Vector
 
@@ -57,13 +57,18 @@ def _size(obj: Dict[str, Any], key: str) -> int:
     return value
 
 
-def _data(obj: Dict[str, Any], expected: int) -> list:
-    data = obj["data"]
+def document_sizes(obj: Dict[str, Any], *keys: str) -> Tuple[int, ...]:
+    """Sizes under ``keys`` of a document with a valid header; no entry is decoded."""
+    mode = obj["mode"]
+    if mode not in (RATIONAL, COMPLEX):
+        raise ValueError(f"unknown mode {mode!r}")
+    sizes = tuple(_size(obj, key) for key in keys)
+    data, expected = obj["data"], math.prod(sizes)
     if not isinstance(data, list):
         raise ValueError(f"'data' must be a list, got {type(data).__name__}")
     if len(data) != expected:
         raise ValueError(f"expected {expected} entries, got {len(data)}")
-    return data
+    return sizes
 
 
 def matrix_to_dict(A: Matrix) -> Dict[str, Any]:
@@ -76,11 +81,9 @@ def matrix_to_dict(A: Matrix) -> Dict[str, Any]:
 
 
 def matrix_from_dict(obj: Dict[str, Any]) -> Matrix:
+    m, n = document_sizes(obj, "rows", "cols")
     mode = obj["mode"]
-    if mode not in (RATIONAL, COMPLEX):
-        raise ValueError(f"unknown mode {mode!r}")
-    m, n = _size(obj, "rows"), _size(obj, "cols")
-    entries = [_decode_entry(v, mode) for v in _data(obj, m * n)]
+    entries = [_decode_entry(v, mode) for v in obj["data"]]
     return Matrix([entries[i * n : (i + 1) * n] for i in range(m)], mode)
 
 
@@ -93,11 +96,9 @@ def vector_to_dict(x: Vector) -> Dict[str, Any]:
 
 
 def vector_from_dict(obj: Dict[str, Any]) -> Vector:
+    document_sizes(obj, "dim")
     mode = obj["mode"]
-    if mode not in (RATIONAL, COMPLEX):
-        raise ValueError(f"unknown mode {mode!r}")
-    data = _data(obj, _size(obj, "dim"))
-    return Vector([_decode_entry(v, mode) for v in data], mode)
+    return Vector([_decode_entry(v, mode) for v in obj["data"]], mode)
 
 
 def matrix_to_json(A: Matrix) -> str:

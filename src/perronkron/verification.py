@@ -23,12 +23,12 @@ from .linalg import (
     basis_vector,
     diag_kron_identity,
     face_split,
-    inf_norm,
     inverse,
     is_entrywise_nonneg,
     kron,
     kron_vec,
     p_norm,
+    row_inf_norms,
     support,
 )
 
@@ -126,8 +126,7 @@ def _decide_kron_samples(
     """
     in_cone = is_entrywise_nonneg(face_split(Z, pd.K) @ pd.K_inv)
     unit_norms = all(
-        inf_norm(z) == inf_norm(x) * inf_norm(y)
-        for x, y, z in zip(X.rows(), Y.rows(), Z.rows())
+        z == x * y for x, y, z in zip(*map(row_inf_norms, (X, Y, Z)))
     )
     return in_cone, in_cone and unit_norms
 

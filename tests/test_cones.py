@@ -1,11 +1,14 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
+from perronkron import cones
 from perronkron.cones import (
     ConeGenerators,
     _canonical_ray,
+    _null_space,
     coni_coefficients,
     coni_member,
     conv_member,
@@ -17,11 +20,14 @@ from perronkron.families import dft, hadamard_like
 from perronkron.linalg import (
     Matrix,
     ModeMismatchError,
+    SingularMatrixError,
     Tolerance,
     Vector,
     kron,
     kron_vec,
     ones_vector,
+    support,
+    vector_is_nonneg,
 )
 from perronkron.perron import cone_inequalities, in_spectracone
 
@@ -189,3 +195,68 @@ def test_spectratope_strictness_rejects_degenerate_split():
         spectratope_strictness_certificate(H2, H2, phi=Fraction(1))
     with pytest.raises(ValueError):
         spectratope_strictness_certificate(H2, H2, phi=Fraction(0))
+
+
+# --- the ray scan over distinct directions -----------------------------------
+
+
+def scan_every_row_subset(M):
+    """Oracle: the scan over (n-1)-subsets of every nonzero inequality row."""
+    n = M.ncols
+    rows = M.array_form().num[support(M).any(axis=1)].tolist()
+    rays = {}
+    for subset in combinations(range(len(rows)), n - 1):
+        kernel = _null_space([rows[i] for i in subset], n)
+        if len(kernel) != 1:
+            continue
+        vec = kernel[0]
+        image = M @ Vector(vec, "rational")
+        for sign in (1, -1):
+            if vector_is_nonneg(image, Tolerance(), sign):
+                canon = _canonical_ray([sign * v for v in vec])
+                rays[canon] = Vector(list(canon), "rational")
+                break
+    return [rays[key] for key in sorted(rays, key=lambda t: [str(v) for v in t])]
+
+
+def _ray_test_matrices():
+    S = kron(H2, Matrix.rational([[1, 2], [1, 1]]))
+    named = [hadamard_like(2), hadamard_like(3), S, Matrix.identity(3),
+             Matrix.rational([[0, 1, 0], [0, 0, 1], [1, 0, 0]])]
+    rng = random.Random(8)
+    seeded = []
+    while len(seeded) < 35:
+        n = rng.randint(2, 4)
+        M = Matrix.rational(
+            [[Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(n)]
+             for _ in range(n)]
+        )
+        try:
+            seeded.append(cone_inequalities(M))
+        except SingularMatrixError:
+            continue
+    return [cone_inequalities(M) for M in named] + seeded
+
+
+def test_ray_scan_over_distinct_directions_matches_the_full_scan():
+    for M in _ray_test_matrices():
+        assert enumerate_extreme_rays(M) == scan_every_row_subset(M)
+
+
+def test_ray_scan_takes_each_sylvester_direction_once(monkeypatch):
+    """cone_inequalities(H3) repeats each of its 4 directions 4 times: the
+    scan solves C(4, 3) = 4 kernels, not C(16, 3) = 560."""
+    kernels = []
+    null_space = cones._null_space
+    monkeypatch.setattr(
+        cones, "_null_space", lambda rows, n: kernels.append(rows) or null_space(rows, n)
+    )
+    M = cone_inequalities(hadamard_like(3))
+    assert enumerate_extreme_rays(M) == scan_every_row_subset(M)
+    assert len(kernels) == 4
+
+
+def test_a_scaled_duplicate_row_is_one_direction():
+    M = Matrix.rational([[1, 0], [2, 0], [0, 3], [0, 1], [0, 0]])
+    assert enumerate_extreme_rays(M) == scan_every_row_subset(M)
+    assert [r.entries for r in enumerate_extreme_rays(M)] == [[0, 1], [1, 0]]

@@ -25,6 +25,7 @@ from perronkron.linalg import (
     matrices_close,
     ones_vector,
     p_norm,
+    row_inf_norms,
     support,
 )
 
@@ -133,6 +134,23 @@ def test_inf_norm_matches_the_entry_loop(seed):
             assert norm == inf_norm_oracle(x)
             assert type(norm) is (Fraction if x.mode == "rational" else float)
             assert p_norm(x, math.inf) == max(abs(complex(v)) for v in x.entries)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_row_inf_norms_match_the_row_vectors(seed):
+    rng = random.Random(seed)
+    matrices = [A for A in _arrays(seed) if isinstance(A, Matrix)]
+    # Rectangular, and rows that differ in size by 2**70 (object numerators).
+    matrices.append(Matrix.rational([[0, 0, 0], [2**70, Fraction(-1, 3), 5]]))
+    for mode, value in (("rational", _rational_value), ("complex", _complex_value)):
+        matrices.append(Matrix([[value(rng) for _ in range(5)] for _ in range(3)], mode))
+    assert any(A.mode == "rational" and A.array_form().num.dtype == object for A in matrices)
+    assert {A.mode for A in matrices} == {"rational", "complex"}
+    for A in matrices:
+        norms = row_inf_norms(A)
+        assert norms == [inf_norm(A.row(i)) for i in range(A.nrows)]
+        kind = Fraction if A.mode == "rational" else float
+        assert all(type(v) is kind for v in norms)
 
 
 @pytest.mark.parametrize("seed", range(4))

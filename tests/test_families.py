@@ -1,5 +1,9 @@
 import cmath
+import math
+import random
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from perronkron.families import (
@@ -135,3 +139,113 @@ def test_counterexample_factors():
     assert kron(h2, t) == Matrix.rational(
         [[1, 2, 1, 2], [1, 1, 1, 1], [1, 2, -1, -2], [1, 1, -1, -1]]
     )
+
+
+# --- closed forms against the companion-power sum ----------------------------
+
+
+def cycle_oracle(n):
+    """The n-cycle permutation matrix, entry by entry."""
+    return Matrix.rational(
+        [[1 if j == (i + 1) % n else 0 for j in range(n)] for i in range(n)]
+    )
+
+
+def companion_power_sum(c):
+    """Oracle: sum_k c_k C**(k-1), with C the cycle companion matrix."""
+    n = c.dim
+    C = cycle_oracle(n)
+    if c.mode == COMPLEX:
+        C = C.to_complex()
+    power = Matrix.identity(n, c.mode)
+    total = power.scale(c[0])
+    for k in range(1, n):
+        power = power @ C
+        total = total + power.scale(c[k])
+    return total
+
+
+def _same_state(A, B):
+    """Equal mode, denominator and numerators (rational) or equal bits
+    (complex), and an equal ``entries`` view."""
+    a, b = A.array_form(), B.array_form()
+    if A.mode == COMPLEX:
+        same = a.shape == b.shape and a.tobytes() == b.tobytes()
+    else:
+        same = a.den == b.den and a.bound == b.bound and np.array_equal(a.num, b.num)
+    return A.mode == B.mode and same and A.entries == B.entries
+
+
+@pytest.mark.parametrize("n", range(1, 25))
+def test_circulant_matches_the_companion_power_sum_rational(n):
+    rng = random.Random(n)
+    for _ in range(3):
+        c = Vector.rational(
+            [Fraction(rng.randint(-30, 30), rng.randint(1, 12)) for _ in range(n)]
+        )
+        assert _same_state(circulant(c), companion_power_sum(c))
+
+
+@pytest.mark.parametrize("n", range(1, 25))
+def test_circulant_matches_the_companion_power_sum_complex(n):
+    """Bitwise, for entries without a negative zero part."""
+    rng = random.Random(100 + n)
+    for _ in range(3):
+        c = Vector.complex_(
+            [complex(rng.uniform(-5, 5), rng.choice([0.0, rng.uniform(-5, 5)]))
+             for _ in range(n)]
+        )
+        assert _same_state(circulant(c), companion_power_sum(c))
+
+
+def test_circulant_keeps_a_negative_zero_the_power_sum_dropped():
+    """The one deliberate difference: entry (i, j) is c[(j - i) mod n] as
+    given, where the sum added +0.0 to a -0.0 part.  `gen circulant` builds
+    only rational circulants, so no CLI output changes."""
+    c = Vector.complex_([complex(-0.0, 1.0), 2, 3])
+    A, old = circulant(c), companion_power_sum(c)
+    for i in range(3):
+        assert math.copysign(1.0, A[i, i].real) == -1.0
+        assert math.copysign(1.0, old[i, i].real) == 1.0
+    assert matrices_close(A, old, Tolerance(0))
+
+
+def test_cycle_companion_is_the_circulant_of_e2():
+    for n in range(1, 40):
+        assert _same_state(cycle_companion(n), cycle_oracle(n))
+
+
+def _counting_products(monkeypatch):
+    calls = []
+    matmul = Matrix.__matmul__
+
+    def spy(self, other):
+        calls.append((self.nrows, self.ncols))
+        return matmul(self, other)
+
+    monkeypatch.setattr(Matrix, "__matmul__", spy)
+    return calls
+
+
+def test_closed_forms_form_no_product(monkeypatch):
+    calls = _counting_products(monkeypatch)
+    circulant(Vector.rational(list(range(1, 30))))
+    circulant(Vector.complex_([1j, 2, -3.5]))
+    cycle_companion(30)
+    assert calls == []
+    for n in range(1, 9):
+        F_inv = inverse(dft(n))
+        for k in range(1, n + 1):
+            calls.clear()
+            extremal_row_image(n, k, sinv=F_inv)
+            # The similarity image under test is the only product.
+            assert calls == [(n, n)]
+
+
+def test_extremal_row_image_is_the_cycle_power():
+    for n in range(1, 9):
+        C = cycle_oracle(n).to_complex()
+        power = Matrix.identity(n, COMPLEX)
+        for k in range(1, n + 1):
+            assert matrices_close(extremal_row_image(n, k), power, Tolerance(1e-9))
+            power = power @ C

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from perronkron.cli import MAX_GEN_ORDER, main
 from perronkron.families import dft, hadamard_like
-from perronkron import cli
+from perronkron import cli, serialize
 from perronkron.linalg import Matrix, Vector
 from perronkron.serialize import (
     matrix_from_dict,
@@ -347,3 +347,84 @@ def test_complex_overflow_exits_2_with_one_error_line(tmp_path, argv):
     )
     assert (result.returncode, result.stdout) == (2, "")
     assert result.stderr == "error: complex entries must be finite, got (inf+0j)\n"
+
+
+# --- documents nested past the recursion limit --------------------------------
+
+_DEEP = "[" * 1500 + "]" * 1500
+
+
+@pytest.mark.parametrize("argv", [["invert", "deep.json"], ["kron", "h.json", "deep.json"]])
+def test_deeply_nested_matrix_document_exits_2(tmp_path, argv):
+    (tmp_path / "deep.json").write_text(_DEEP)
+    (tmp_path / "h.json").write_text(matrix_to_json(hadamard_like(2)))
+    code, err = _run([str(tmp_path / a) if a.endswith(".json") else a for a in argv])
+    _assert_one_line_error(code, err)
+    assert err.startswith(f"error: invalid matrix file {tmp_path / 'deep.json'}: ")
+
+
+def test_deeply_nested_vector_document_exits_2(tmp_path):
+    (tmp_path / "deep.json").write_text(_DEEP)
+    (tmp_path / "h.json").write_text(matrix_to_json(hadamard_like(2)))
+    code, err = _run(["cone-member", str(tmp_path / "h.json"), str(tmp_path / "deep.json")])
+    _assert_one_line_error(code, err)
+    assert err.startswith(f"error: invalid vector file {tmp_path / 'deep.json'}: ")
+
+
+def test_deeply_nested_stdin_exits_2():
+    """What a user sees: one line, no traceback, exit 2."""
+    result = subprocess.run(
+        [sys.executable, "-m", "perronkron.cli", "invert", "-"],
+        input=_DEEP, capture_output=True, text=True,
+    )
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr.startswith("error: invalid matrix file -: ")
+    assert len(result.stderr.splitlines()) == 1
+
+
+# --- kron decides its size from the headers -----------------------------------
+
+
+def _counting_decoder(monkeypatch):
+    calls = []
+    decode = serialize._decode_entry
+    monkeypatch.setattr(
+        serialize, "_decode_entry", lambda raw, mode: calls.append(raw) or decode(raw, mode)
+    )
+    return calls
+
+
+@pytest.mark.parametrize(
+    "left, right", [((64, 64), (32, 32)), ((33, 1), (32, 1)), ((1, 1025), (1, 1))]
+)
+def test_kron_refuses_an_oversized_product_before_decoding(tmp_path, monkeypatch, left, right):
+    paths = _kron_files(tmp_path, left, right)
+    calls = _counting_decoder(monkeypatch)
+    _assert_one_line_error(*_run(["kron", *paths]))
+    assert calls == []
+
+
+@pytest.mark.parametrize("left, right", [((32, 1), (32, 1)), ((1, 1024), (1, 1))])
+def test_kron_decodes_products_at_the_limit(tmp_path, monkeypatch, left, right):
+    paths = _kron_files(tmp_path, left, right)
+    calls = _counting_decoder(monkeypatch)
+    code, err = _run(["kron", *paths])
+    assert (code, err) == (0, "")
+    assert len(calls) == left[0] * left[1] + right[0] * right[1]
+
+
+@pytest.mark.parametrize("doc", [
+    {"mode": "real", "rows": 64, "cols": 64, "data": []},
+    {"mode": "rational", "rows": "64", "cols": 64, "data": []},
+    {"mode": "rational", "rows": 64, "cols": 64, "data": ["1/1"]},
+    {"mode": "rational", "rows": 64, "cols": 64},
+])
+def test_kron_reports_a_malformed_header_first(tmp_path, doc):
+    """A bad header of either operand is an invalid file, even when the
+    other header asks for an oversized product."""
+    paths = _kron_files(tmp_path, (64, 64), (64, 64))
+    with open(paths[1], "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(doc))
+    code, err = _run(["kron", *paths])
+    _assert_one_line_error(code, err)
+    assert err.startswith(f"error: invalid matrix file {paths[1]}: ")

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from perronkron.cones import spectratope_strictness_certificate
 from perronkron.families import cycle_companion, dft, hadamard_like
 from perronkron.linalg import (
     Matrix,
@@ -14,11 +15,13 @@ from perronkron.linalg import (
     kron_factor,
     kron_vec,
     ones_vector,
+    support,
     vector_is_nonneg,
 )
 from perronkron.perron import (
     PerronWitness,
     cone_inequalities,
+    factor_cone_members,
     find_perron_witness,
     in_spectracone,
     in_spectratope,
@@ -227,3 +230,64 @@ def test_reproduce_counterexample():
     assert report.nonscalar
     assert report.a == report.s @ report.d @ report.s_inv
     assert is_entrywise_nonneg(report.a)
+
+
+# --- certificate points in closed form ---------------------------------------
+
+
+def _seeded_perron_similarities(seed, count=6):
+    """Seeded invertible rational matrices of orders 2-4 with a witness."""
+    rng = random.Random(seed)
+    found = []
+    while len(found) < count:
+        n = rng.randint(2, 4)
+        S = Matrix.rational(
+            [[Fraction(rng.randint(-4, 6), rng.randint(1, 3)) for _ in range(n)]
+             for _ in range(n)]
+        )
+        try:
+            if find_perron_witness(S) is not None:
+                found.append(S)
+        except ValueError:  # singular
+            continue
+    return found
+
+
+def _certificate_pairs():
+    from perronkron.verification import _catalog
+
+    catalog = [S for _, S in _catalog()]
+    pairs = [(S, T) for S in catalog for T in catalog]
+    seeded = _seeded_perron_similarities(3)
+    pairs += list(zip(seeded, seeded[1:] + seeded[:1]))
+    # A pair of mixed modes is lifted to complex mode, as verify-paper does.
+    return [
+        (S, T) if S.mode == T.mode else (S.to_complex(), T.to_complex())
+        for S, T in pairs
+    ]
+
+
+def test_strict_certificate_point_is_z_plus_e():
+    """x and y have entries 2 and 3, so z + e >= 5 with shift 1, never more."""
+    for S, T in _certificate_pairs():
+        zp, evidence = strict_cone_containment_certificate(S, T)
+        x, y, _ = factor_cone_members(S, T)
+        assert zp == kron_vec(x, y) + ones_vector(S.nrows * T.nrows, S.mode)
+        assert support(zp, Tolerance(0)).all()
+        assert evidence.shift == 1 and type(evidence.shift) is type(zp[0])
+        assert evidence.holds
+        if S.mode == "rational":
+            assert min(zp) >= 5
+
+
+def test_tope_certificate_point_keeps_the_given_phi():
+    """x and y scaled to norm 1 have entries 2/3 and 1, so z >= 4/9 and
+    z' = phi*z + psi*e > psi is totally nonzero for the phi passed."""
+    for S, T in _certificate_pairs():
+        for phi in (Fraction(1, 2), Fraction(1, 3), Fraction(99, 100)):
+            zp, evidence = spectratope_strictness_certificate(S, T, phi=phi)
+            assert (evidence.phi, evidence.psi) == (phi, 1 - phi)
+            assert support(zp, Tolerance(0)).all()
+            assert evidence.holds
+            if S.mode == "rational":
+                assert min(zp) > 1 - phi
