@@ -28,8 +28,16 @@ Gauss-Jordan elimination on Python integers, after E. H. Bareiss,
 elimination", Math. Comp. 22 (1968).  Every entry it produces is a minor of
 its input, so each division it makes is exact and no gcd is taken.  The
 rational ``inverse`` runs it on ``[N | I]``, where ``N`` is the numerator
-array of the matrix; ``cones`` runs it for null spaces.  Complex mode
-inverts by Gauss-Jordan with partial pivoting.
+array of the matrix, unless ``N`` has pairwise orthogonal nonzero rows;
+``cones`` runs it for null spaces.  Orthogonal rows are the paper's case:
+Sylvester Hadamard matrices have them, and a Kronecker product keeps them
+(C. F. Van Loan, "The ubiquitous Kronecker product", J. Comput. Appl. Math.
+123 (2000)).  When the Gram matrix ``N N^T`` is diagonal, the inverse is
+``N^T`` with each column divided by its diagonal entry, one exact integer
+product in place of an O(n^3) big-integer elimination.  Complex mode
+inverts by Gauss-Jordan with partial pivoting: a floating-point Gram test
+would route some matrices, the DFT among them, to a closed form that
+rounds differently.
 """
 from __future__ import annotations
 
@@ -500,17 +508,34 @@ def bareiss_eliminate(M: np.ndarray) -> Tuple[List[int], int]:
 def inverse(S: Matrix) -> Matrix:
     """Exact inverse in rational mode, Gauss-Jordan inverse in complex mode.
 
-    Rational mode eliminates ``[N | I]`` with ``bareiss_eliminate``, where
-    S = N / d; the left block ends as det * I and S^{-1} is d / det times
-    the right block.  Pivoting: first nonzero entry in rational mode,
-    maximum modulus in complex mode.  Either way a singular matrix raises
-    ``SingularMatrixError`` naming the first column without a pivot.
+    In rational mode S = N / d.  When the Gram matrix G = N N^T is diagonal
+    with no zero on its diagonal g, S^{-1} = d N^T diag(1/g), formed exactly
+    as numerators over lcm(g); G is one integer product, int64 unless it
+    could overflow.  Otherwise ``bareiss_eliminate`` eliminates ``[N | I]``;
+    the left block ends as det * I and S^{-1} is d / det times the right
+    block.  Both give the same canonical result, and a zero row takes the
+    elimination.  Complex mode keeps Gauss-Jordan: a floating-point Gram
+    test would send the DFT to a closed form that rounds differently, and
+    its inverse would change bit for bit.  Pivoting: first nonzero entry in
+    rational mode, maximum modulus in complex mode.  Either way a singular
+    matrix raises ``SingularMatrixError`` naming the first column without
+    a pivot.
     """
     if not S.is_square:
         raise ValueError("only square matrices are invertible")
     n = S.nrows
     if S.mode == RATIONAL:
         form = S.array_form()
+        gram = integer_product(np.matmul, form.num, form.num.T, bound=n * form.bound**2)
+        g = np.diagonal(gram).tolist()
+        if all(g) and np.count_nonzero(gram) == n:
+            # S^-1 = d N^T diag(1/g): column j of N^T times d L / g_j, over L = lcm(g).
+            lcm = math.lcm(*g)
+            f = [form.den * (lcm // v) for v in g]
+            top = max(f)
+            f = np.array(f, dtype=np.int64 if top < _INT64_SAFE else object)
+            num = integer_product(np.multiply, form.num.T, f, bound=form.bound * top)
+            return Matrix._rational(num, lcm)
         aug = np.hstack([form.num, np.identity(n, dtype=int)]).astype(object)
         pivots, det = bareiss_eliminate(aug)
         if pivots[:n] != list(range(n)):

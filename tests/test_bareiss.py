@@ -1,4 +1,5 @@
-"""Differential tests of the fraction-free (Bareiss) elimination kernel.
+"""Differential tests of the fraction-free (Bareiss) elimination kernel
+and of the orthogonal-row closed form of the rational inverse.
 
 The reference oracles below are the Fraction Gauss-Jordan loops that
 ``linalg.inverse`` and ``cones._null_space`` used before both moved onto
@@ -10,14 +11,18 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from perronkron import linalg
 from perronkron.cones import _null_space
 from perronkron.families import hadamard_like
 from perronkron.linalg import (
     Matrix,
     SingularMatrixError,
+    Vector,
     bareiss_eliminate,
+    diag_embed,
     integer_form,
     inverse,
+    kron,
 )
 
 
@@ -132,7 +137,7 @@ def test_singular_message_names_first_column_without_pivot():
         inverse(Matrix.rational([[0]]))
 
 
-@pytest.mark.parametrize("depth", range(2, 8))
+@pytest.mark.parametrize("depth", range(2, 10))
 def test_hadamard_inverse_is_scaled_hadamard(depth):
     H = hadamard_like(depth)
     assert inverse(H) == H.scale(Fraction(1, H.nrows))
@@ -157,6 +162,117 @@ def test_inverse_with_entries_near_2_to_80():
     S = Matrix.rational([[big, 1], [1, big - 1]])
     assert inverse(S) == _oracle_inverse(S)
     assert S @ inverse(S) == Matrix.identity(2)
+
+
+# --- the orthogonal-row closed form -----------------------------------------
+
+
+def _sylvester(order):
+    return Matrix.rational([[1]]) if order == 1 else hadamard_like(order.bit_length())
+
+
+def _assert_same_state(A, B):
+    """Equal canonical states, numerator dtype included."""
+    a, b = A.array_form(), B.array_form()
+    assert (a.den, a.bound, a.num.dtype) == (b.den, b.bound, b.num.dtype)
+    assert np.array_equal(a.num, b.num)
+
+
+def _weighted(H, weights, scale=1):
+    """diag(weights) @ H, times scale."""
+    return (diag_embed(Vector.rational(weights)) @ H).scale(scale)
+
+
+def _orthogonal_rows_cases():
+    rng = random.Random(11)
+    for order in (1, 2, 4, 8, 16, 32, 64):
+        yield f"sylvester-{order}", _sylvester(order)
+    for order in (2, 4, 8, 16):
+        H = _sylvester(order).entries
+        for k in range(3):
+            perm = rng.sample(range(order), order)
+            signs = [rng.choice([1, -1]) for _ in range(order)]
+            yield f"permuted-{order}-{k}", Matrix.rational([
+                [signs[i] * v for v in H[perm[i]]] for i in range(order)
+            ])
+    for order in (1, 2, 4, 8):
+        for k in range(4):
+            weights = [
+                Fraction(rng.choice([1, -1]) * rng.randint(1, 12), rng.randint(1, 9))
+                for _ in range(order)
+            ]
+            scale = Fraction(rng.randint(1, 7), rng.randint(2, 11))
+            yield f"weighted-{order}-{k}", _weighted(_sylvester(order), weights, scale)
+    rotation = Matrix.rational([[Fraction(3, 5), Fraction(4, 5)], [Fraction(-4, 5), Fraction(3, 5)]])
+    pythagorean = Matrix.rational([[1, 2, 2], [2, 1, -2], [2, -2, 1]])
+    factors = {"H2": hadamard_like(2), "H4": hadamard_like(3), "H8": hadamard_like(4),
+               "R": rotation, "P": pythagorean}
+    for s, S in factors.items():
+        for t, T in factors.items():
+            if S.nrows * T.nrows <= 32:
+                yield f"kron-{s}-{t}", kron(S, T)
+    big = 2**80
+    yield "object-pair", Matrix.rational([[big, 1], [-1, big]])
+    yield "object-weighted", _weighted(_sylvester(4), [big, 1, -3, Fraction(big + 1, 7)])
+
+
+@pytest.mark.parametrize(
+    "S", [pytest.param(S, id=name) for name, S in _orthogonal_rows_cases()]
+)
+def test_orthogonal_rows_inverse_matches_oracle(S):
+    N = S.array_form().num.astype(object)
+    gram = N @ N.T
+    assert np.count_nonzero(gram) == S.nrows == np.count_nonzero(np.diagonal(gram))
+    _assert_same_state(inverse(S), _oracle_inverse(S))
+
+
+def test_orthogonal_rows_case_list_covers_object_numerators():
+    dtypes = {S.array_form().num.dtype for _, S in _orthogonal_rows_cases()}
+    assert dtypes == {np.dtype(np.int64), np.dtype(object)}
+
+
+def _counting_bareiss(monkeypatch):
+    calls = []
+    kernel = linalg.bareiss_eliminate
+    monkeypatch.setattr(
+        linalg, "bareiss_eliminate", lambda M: calls.append(M.shape) or kernel(M)
+    )
+    return calls
+
+
+def test_diagonal_gram_skips_elimination(monkeypatch):
+    H = _sylvester(64)
+    weighted = _weighted(_sylvester(8), [1, 2, Fraction(-1, 3), 5, 7, 1, 1, 9], Fraction(2, 3))
+    expected = [H.scale(Fraction(1, 64)), _oracle_inverse(weighted)]
+
+    def refuse(M):
+        raise AssertionError("bareiss_eliminate was called")
+
+    monkeypatch.setattr(linalg, "bareiss_eliminate", refuse)
+    assert [inverse(H), inverse(weighted)] == expected
+
+
+def test_non_diagonal_gram_takes_elimination(monkeypatch):
+    near_miss = [list(row) for row in _sylvester(16).entries]
+    near_miss[5][9] = Fraction(2)
+    near_miss = Matrix.rational(near_miss)
+    rng = random.Random(24)
+    dense = Matrix.rational(_random_rows(rng, 12, 12, 12))
+    calls = _counting_bareiss(monkeypatch)
+    assert inverse(near_miss) == _oracle_inverse(near_miss)
+    assert inverse(dense) == _oracle_inverse(dense)
+    assert calls == [(16, 32), (12, 24)]
+
+
+def test_zero_rows_keep_singular_message(monkeypatch):
+    """A zero row takes the elimination, also where N N^T has exactly n
+    nonzero entries, two of them off the diagonal."""
+    calls = _counting_bareiss(monkeypatch)
+    with pytest.raises(SingularMatrixError, match="no pivot in column 2"):
+        inverse(Matrix.rational([[1, 1], [0, 0]]))
+    with pytest.raises(SingularMatrixError, match="no pivot in column 3"):
+        inverse(Matrix.rational([[1, 1, 0, 0], [1, 0, 0, 0], [0] * 4, [0] * 4]))
+    assert calls == [(2, 4), (4, 8)]
 
 
 def test_null_space_matches_oracle_on_rectangular_systems():

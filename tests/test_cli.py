@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -185,6 +186,19 @@ def test_stdin_input(tmp_path, capsys, monkeypatch):
     code, stdout, _ = run_cli(["invert", "-"], capsys)
     assert code == 0
     assert matrix_from_json(stdout) == hadamard_like(2).scale("1/2")
+
+
+def test_gen_hadamard_9_piped_to_invert():
+    """Order 256 through a real pipe: the inverse is H / 256."""
+    cli = [sys.executable, "-m", "perronkron.cli"]
+    gen = subprocess.Popen([*cli, "gen", "hadamard", "9"], stdout=subprocess.PIPE)
+    inv = subprocess.run(
+        [*cli, "invert", "-"], stdin=gen.stdout, capture_output=True, text=True, timeout=300
+    )
+    gen.stdout.close()
+    assert gen.wait(timeout=300) == 0
+    assert (inv.returncode, inv.stderr) == (0, "")
+    assert matrix_from_json(inv.stdout) == hadamard_like(9).scale(Fraction(1, 256))
 
 
 def test_installed_entry_point_runs():
