@@ -2,12 +2,15 @@
 generator sets, and polyhedral cross-checks.
 
 Membership is decided by a phase-one simplex over exact rationals with
-Bland's anti-cycling rule.  Each tableau row is held as a list of Python
-ints with its own positive denominator, so a pivot updates integers and
-takes one gcd per row, not one per entry.  Complex-mode systems are split
-into real and imaginary rows (with float coefficients lifted exactly into
-rationals) and each equality is relaxed to a band of width eps via slack
-variables.
+Bland's anti-cycling rule (R. G. Bland, "New finite pivoting rules for the
+simplex method", Math. Oper. Res. 2 (1977)).  The system is built from the
+array state: rational generators as numerators over one denominator,
+complex ones split into real and imaginary rows, with each float (and eps)
+lifted exactly by ``float.as_integer_ratio`` and each equality relaxed to
+a band of width eps via slack variables.  Its rows reach the simplex as
+lists of Python ints in lowest terms, each with its own positive
+denominator, and every tableau row stays in that form, so a pivot updates
+integers and takes one gcd per row, not one per entry.
 """
 from __future__ import annotations
 
@@ -73,29 +76,28 @@ class ConeGenerators:
 
 
 def _phase_one_feasible(
-    A: Sequence[Sequence[Fraction]], b: Sequence[Fraction]
+    system: Sequence[List[int]], dens: Sequence[int]
 ) -> Optional[List[Fraction]]:
     """Solve A lam = b, lam >= 0 exactly; return lam or None.
 
-    Phase-one simplex with artificial variables and Bland's rule (smallest
-    eligible entering index; ties in the ratio test broken by smallest
-    basic variable index).  Each tableau row, and the objective row, is a
-    list of ints R with its own positive denominator d, standing for R/d.
+    Row i of [A | b] is ``system[i] / dens[i]``, ints over a positive
+    denominator.  Phase-one simplex with artificial variables and Bland's
+    rule (smallest eligible entering index; ties in the ratio test broken
+    by smallest basic variable index).  Each tableau row, and the objective
+    row, is a list of ints R with its own positive denominator d, standing
+    for R/d.
     """
-    m = len(A)
-    n = len(A[0]) if m else 0
+    m = len(system)
+    n = len(system[0]) - 1 if m else 0
     total_cols = n + m
     # Tableau columns: n structural vars, then m artificials, then rhs.
     rows: List[List[int]] = []
-    dens: List[int] = []
-    for i in range(m):
-        values = list(A[i]) + [b[i]]
-        d = math.lcm(*(v.denominator for v in values))
-        sign = -1 if b[i] < 0 else 1
-        row = [sign * v.numerator * (d // v.denominator) for v in values]
+    dens = list(dens)
+    for i, (values, d) in enumerate(zip(system, dens)):
+        sign = -1 if values[n] < 0 else 1
+        row = [sign * v for v in values]
         row[n:n] = [d if j == i else 0 for j in range(m)]
         rows.append(row)
-        dens.append(d)
     basis = [n + i for i in range(m)]
     # Objective row for minimizing the artificial sum, kept in reduced form:
     # structural columns start at the column sums, artificial columns at 0.
@@ -165,10 +167,11 @@ def _reduced(row: List[int], d: int) -> Tuple[List[int], int]:
 
 def _membership_system(
     G: ConeGenerators, x: Vector, tol: Tolerance, sum_to_one: bool
-) -> Tuple[List[List[Fraction]], List[Fraction], int]:
+) -> Tuple[List[List[int]], List[int], int]:
     """Build the equality system for hull membership.
 
-    Returns (A, b, p) where the first p variables are the combination
+    Returns (system, dens, p): row i of [A | b] is ``system[i] / dens[i]``,
+    ints in lowest terms, and the first p variables are the combination
     coefficients.  Complex data is split into real/imaginary rows with an
     eps-wide slack band on each.
     """
@@ -177,44 +180,41 @@ def _membership_system(
     if x.mode != G.mode:
         raise ModeMismatchError("mode mismatch between generators and point")
     p = len(G.vectors)
+    forms = [v.array_form() for v in G.vectors + (x,)]
     if G.mode == RATIONAL:
-        A = [[g.entries[i] for g in G.vectors] for i in range(G.dim)]
-        b = list(x.entries)
+        d = math.lcm(*(f.den for f in forms))
+        columns = [f.num.astype(object) * (d // f.den) for f in forms]
+        rows = [(row, d) for row in np.column_stack(columns).tolist()]
     else:
-        raw_rows: List[List[Fraction]] = []
-        raw_b: List[Fraction] = []
-        for i in range(G.dim):
-            raw_rows.append([Fraction(g.entries[i].real) for g in G.vectors])
-            raw_b.append(Fraction(x.entries[i].real))
-            raw_rows.append([Fraction(g.entries[i].imag) for g in G.vectors])
-            raw_b.append(Fraction(x.entries[i].imag))
-        eps = Fraction(tol.eps)
-        A = []
-        b = []
+        values = np.column_stack(forms)
+        # Row 2i is the real part of coordinate i, row 2i + 1 its imaginary part.
+        raw_rows = np.stack((values.real, values.imag), axis=1).reshape(2 * G.dim, p + 1)
+        eps_num, eps_den = tol.eps.as_integer_ratio()
         n_slack = 2 * len(raw_rows)
-        for r, (row, rb) in enumerate(zip(raw_rows, raw_b)):
+        rows = []
+        for r, raw in enumerate(raw_rows.tolist()):
+            ratios = [v.as_integer_ratio() for v in raw]
+            d = math.lcm(eps_den, *(q for _, q in ratios))
+            row = [a * (d // q) for a, q in ratios]
+            rb, eps = row.pop(), eps_num * (d // eps_den)
             # row . lam + s_hi = rb + eps;  row . lam - s_lo = rb - eps
-            hi = row + [Fraction(0)] * n_slack
-            hi[p + 2 * r] = Fraction(1)
-            lo = row + [Fraction(0)] * n_slack
-            lo[p + 2 * r + 1] = Fraction(-1)
-            A.append(hi)
-            b.append(rb + eps)
-            A.append(lo)
-            b.append(rb - eps)
+            for k, (slack, rhs) in enumerate(((d, rb + eps), (-d, rb - eps))):
+                band = row + [0] * n_slack + [rhs]
+                band[p + 2 * r + k] = slack
+                rows.append((band, d))
     if sum_to_one:
-        width = len(A[0])
-        A.append([Fraction(1)] * p + [Fraction(0)] * (width - p))
-        b.append(Fraction(1))
-    return A, b, p
+        width = len(rows[0][0]) - 1
+        rows.append(([1] * p + [0] * (width - p) + [1], 1))
+    system, dens = map(list, zip(*(_reduced(row, d) for row, d in rows)))
+    return system, dens, p
 
 
 def coni_coefficients(
     G: ConeGenerators, x: Vector, tol: Tolerance = Tolerance(), sum_to_one: bool = False
 ) -> Optional[List[Fraction]]:
     """Nonnegative combination coefficients expressing x, or None."""
-    A, b, p = _membership_system(G, x, tol, sum_to_one)
-    lam = _phase_one_feasible(A, b)
+    system, dens, p = _membership_system(G, x, tol, sum_to_one)
+    lam = _phase_one_feasible(system, dens)
     if lam is None:
         return None
     return lam[:p]

@@ -582,13 +582,6 @@ def row_inf_norms(A: Matrix) -> List[Union[Fraction, float]]:
     return _moduli(A._state).max(axis=1).tolist()
 
 
-def inf_norm_exact(x: Vector) -> Fraction:
-    """Exact infinity norm; rational mode only."""
-    if x.mode != RATIONAL:
-        raise ModeMismatchError("exact norms require rational mode")
-    return inf_norm(x)
-
-
 def _moduli(values: np.ndarray) -> np.ndarray:
     """Each modulus rounded as Python's ``abs`` rounds it; ``np.abs`` need not.
     A modulus beyond the largest float is inf."""

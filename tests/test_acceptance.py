@@ -18,7 +18,6 @@ from perronkron.linalg import (
     Matrix,
     Tolerance,
     Vector,
-    inf_norm_exact,
     kron,
     kron_factor,
     kron_vec,

@@ -121,6 +121,22 @@ def test_hull_member_verbs(tmp_path, capsys):
     assert code == 1
 
 
+def test_hull_member_verbs_on_complex_dft_rows(tmp_path, capsys):
+    """The rows of F8 sum to 8 e1 only up to rounding, so 8 e1 is in their
+    conical hull at the default tolerance and not at tolerance 0."""
+    f8 = tmp_path / "f8.json"
+    code, _, _ = run_cli(["-o", str(f8), "gen", "dft", "8"], capsys)
+    assert code == 0
+    points = {}
+    for name, first in (("e1", 1), ("8e1", 8), ("-8e1", -8)):
+        points[name] = tmp_path / f"{name}.json"
+        points[name].write_text(vector_to_json(Vector.complex_([first] + [0] * 7)))
+    assert run_cli(["coni-member", str(f8), str(points["8e1"])], capsys)[0] == 0
+    assert run_cli(["--tol", "0", "coni-member", str(f8), str(points["8e1"])], capsys)[0] == 1
+    assert run_cli(["coni-member", str(f8), str(points["-8e1"])], capsys)[0] == 1
+    assert run_cli(["conv-member", str(f8), str(points["e1"])], capsys)[0] == 0
+
+
 def test_digraph_verbs(tmp_path, capsys):
     c3 = tmp_path / "c3.json"
     c3.write_text(matrix_to_json(cycle_companion(3)))

@@ -64,11 +64,10 @@ def test_the_scan_sees_a_numpy_import(source, expected):
 
 
 # Where the `Fraction`/`complex` view may be read: modules whose values leave
-# the library (the wire format, the report), the exact LP system, and the
-# view's own members.  Everything else computes on the array state.
+# the library (the wire format, the report) and the view's own members.
+# Everything else computes on the array state.
 VIEW_CLIENTS = {"serialize.py", "verification.py"}
 VIEW_READERS = {
-    "cones.py": {"_membership_system"},
     "linalg.py": {"__repr__", "__iter__", "__getitem__"},
 }
 

@@ -17,10 +17,12 @@ import pytest
 
 from perronkron import families, linalg
 from perronkron.linalg import (
+    RATIONAL,
     Matrix,
+    ModeMismatchError,
     Vector,
     diag_embed,
-    inf_norm_exact,
+    inf_norm,
     inverse,
     is_entrywise_nonneg,
     kron,
@@ -140,6 +142,13 @@ def test_products(size):
             [[a * b for a in ra for b in rb] for ra in A.entries for rb in B.entries],
         )
         _rational(kron_vec(x, v), [a * b for a in x.entries for b in v.entries])
+
+
+def inf_norm_exact(x: Vector) -> Fraction:
+    """Exact infinity norm; rational mode only."""
+    if x.mode != RATIONAL:
+        raise ModeMismatchError("exact norms require rational mode")
+    return inf_norm(x)
 
 
 @pytest.mark.parametrize("size", SIZES)

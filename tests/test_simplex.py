@@ -1,9 +1,13 @@
-"""Differential tests of the integer-row phase-one simplex.
+"""Differential tests of the integer-row phase-one simplex and of the
+integer membership system it is handed.
 
-The reference oracle below is the Fraction tableau that
+The reference oracles below are the Fraction tableau that
 ``cones._phase_one_feasible`` used before its rows became lists of ints,
-each with its own denominator.  It lives here, not in the library.  Every
-test compares the coefficient vectors exactly, not only feasibility.
+each with its own denominator, and the Fraction system that
+``cones._membership_system`` built before it read the array state.  They
+live here, not in the library.  Every simplex test compares the
+coefficient vectors exactly, not only feasibility, and every system test
+compares the integer rows exactly.
 """
 import random
 from fractions import Fraction
@@ -17,7 +21,61 @@ from perronkron.cones import (
     kron_generator_set,
 )
 from perronkron.families import dft, hadamard_like
-from perronkron.linalg import Tolerance, Vector
+from perronkron.linalg import (
+    RATIONAL,
+    ModeMismatchError,
+    Tolerance,
+    Vector,
+    integer_form,
+)
+
+
+def _oracle_membership_system(G, x, tol, sum_to_one):
+    """The hull membership system over Fractions: (A, b, p), where the
+    first p variables are the combination coefficients.  Complex data is
+    split into real/imaginary rows with an eps-wide slack band on each."""
+    if x.dim != G.dim:
+        raise ValueError("dimension mismatch between generators and point")
+    if x.mode != G.mode:
+        raise ModeMismatchError("mode mismatch between generators and point")
+    p = len(G.vectors)
+    if G.mode == RATIONAL:
+        A = [[g.entries[i] for g in G.vectors] for i in range(G.dim)]
+        b = list(x.entries)
+    else:
+        raw_rows = []
+        raw_b = []
+        for i in range(G.dim):
+            raw_rows.append([Fraction(g.entries[i].real) for g in G.vectors])
+            raw_b.append(Fraction(x.entries[i].real))
+            raw_rows.append([Fraction(g.entries[i].imag) for g in G.vectors])
+            raw_b.append(Fraction(x.entries[i].imag))
+        eps = Fraction(tol.eps)
+        A = []
+        b = []
+        n_slack = 2 * len(raw_rows)
+        for r, (row, rb) in enumerate(zip(raw_rows, raw_b)):
+            # row . lam + s_hi = rb + eps;  row . lam - s_lo = rb - eps
+            hi = row + [Fraction(0)] * n_slack
+            hi[p + 2 * r] = Fraction(1)
+            lo = row + [Fraction(0)] * n_slack
+            lo[p + 2 * r + 1] = Fraction(-1)
+            A.append(hi)
+            b.append(rb + eps)
+            A.append(lo)
+            b.append(rb - eps)
+    if sum_to_one:
+        width = len(A[0])
+        A.append([Fraction(1)] * p + [Fraction(0)] * (width - p))
+        b.append(Fraction(1))
+    return A, b, p
+
+
+def _integer_system(A, b):
+    """Rows of [A | b] cleared to lowest terms: (system, dens) as the
+    library's simplex takes them."""
+    forms = [integer_form([list(row) + [v]]) for row, v in zip(A, b)]
+    return [f.num[0].tolist() for f in forms], [f.den for f in forms]
 
 
 def _oracle_phase_one(A, b):
@@ -82,7 +140,7 @@ def _oracle_phase_one(A, b):
 
 
 def _assert_matches_oracle(A, b):
-    got = _phase_one_feasible(A, b)
+    got = _phase_one_feasible(*_integer_system(A, b))
     assert got == _oracle_phase_one(A, b)
     if got is not None:
         assert all(type(v) is Fraction and v >= 0 for v in got)
@@ -189,8 +247,9 @@ def test_matches_oracle_on_complex_dft_systems(n):
     for kind, member in (("conical", n % 2 == 0), ("convex", n % 2 == 1)):
         G = ConeGenerators.from_rows(F, kind)
         x = _dft_point(rng, F, kind, member)
-        A, b, p = _membership_system(G, x, tol, kind == "convex")
-        got = _phase_one_feasible(A, b)
+        system, dens, p = _membership_system(G, x, tol, kind == "convex")
+        A, b, _ = _oracle_membership_system(G, x, tol, kind == "convex")
+        got = _phase_one_feasible(system, dens)
         assert got == _oracle_phase_one(A, b)
         assert (got is not None) == member
 
@@ -207,6 +266,53 @@ def test_matches_oracle_on_kron_h4_points(member):
     x = Vector.rational(
         [sum(wk * row[j] for wk, row in zip(w, kron_rows)) for j in range(64)]
     )
-    A, b, p = _membership_system(kron_generator_set(U, U), x, Tolerance(), False)
+    G = kron_generator_set(U, U)
+    A, b, p = _oracle_membership_system(G, x, Tolerance(), False)
     got = _assert_matches_oracle(A, b)
+    assert _phase_one_feasible(*_membership_system(G, x, Tolerance(), False)[:2]) == got
     assert (got is not None) == member
+
+
+def _assert_system_matches_oracle(G, x, tol):
+    """The library's integer rows are the oracle's rows in lowest terms."""
+    sum_to_one = G.hull_kind == "convex"
+    system, dens, p = _membership_system(G, x, tol, sum_to_one)
+    A, b, q = _oracle_membership_system(G, x, tol, sum_to_one)
+    assert (system, dens, p) == (*_integer_system(A, b), q)
+    assert all(type(v) is int for row in system for v in row)
+    assert all(type(d) is int and d > 0 for d in dens)
+
+
+@pytest.mark.parametrize("eps", [1e-9, 0, 1e-3])
+@pytest.mark.parametrize("n", range(3, 13))
+def test_complex_dft_system_matches_oracle(n, eps):
+    rng = random.Random(500 + n)
+    F = dft(n)
+    for kind in ("conical", "convex"):
+        G = ConeGenerators.from_rows(F, kind)
+        for member in (True, False):
+            _assert_system_matches_oracle(G, _dft_point(rng, F, kind, member), Tolerance(eps))
+
+
+@pytest.mark.parametrize("kind", ["conical", "convex"])
+def test_kron_h4_system_with_mixed_denominators_matches_oracle(kind):
+    """Generators u_i (x) v_j in dimension 64 whose factors are rows of H4
+    with columns, and then rows, scaled by different fractions.  A row of
+    the system then has a denominator of its own, so the common one must
+    be divided out of most rows."""
+    H4 = hadamard_like(4)
+    columns = Vector.rational([Fraction(1, 1 + j) for j in range(8)])
+    U = ConeGenerators.from_rows(H4.scale_columns(columns), kind)
+    V = ConeGenerators(
+        tuple(row.scale(Fraction(2 + k % 3, 3)) for k, row in enumerate(H4.rows())), kind
+    )
+    G = kron_generator_set(U, V)
+    rng = random.Random(64)
+    for _ in range(3):
+        x = Vector.rational(
+            [Fraction(rng.randint(-9, 9), rng.choice([1, 2, 5, 11, 13])) for _ in range(64)]
+        )
+        _assert_system_matches_oracle(G, x, Tolerance())
+    _assert_system_matches_oracle(G, G.vectors[5], Tolerance())
+    system, dens, _ = _membership_system(G, G.vectors[5], Tolerance(), kind == "convex")
+    assert len(set(dens)) > 2
