@@ -6,7 +6,16 @@ from __future__ import annotations
 import cmath
 from typing import Optional, Tuple
 
-from .linalg import COMPLEX, Matrix, Tolerance, Vector, basis_vector, kron, matrices_close
+from .linalg import (
+    COMPLEX,
+    Matrix,
+    Tolerance,
+    Vector,
+    basis_vector,
+    index_matrix,
+    kron,
+    matrices_close,
+)
 from .perron import similarity_image
 
 
@@ -32,17 +41,13 @@ def hadamard_like(n: int) -> Matrix:
 def dft(n: int) -> Matrix:
     """DFT matrix of order n: (i, j) entry omega**((i-1)(j-1)) with
     omega = exp(2*pi*1j/n).  Complex mode; exponents are reduced mod n
-    before evaluation to limit phase error.
+    before evaluation to limit phase error, so the matrix holds the n
+    roots omega**k, each evaluated once.
     """
     if n < 1:
         raise ValueError(f"order must be positive, got {n}")
-    return Matrix(
-        [
-            [cmath.exp(2j * cmath.pi * ((i * j) % n) / n) for j in range(n)]
-            for i in range(n)
-        ],
-        COMPLEX,
-    )
+    roots = Vector([cmath.exp(2j * cmath.pi * k / n) for k in range(n)], COMPLEX)
+    return index_matrix(roots, lambda i, j: i * j)
 
 
 def cycle_companion(n: int) -> Matrix:
@@ -60,8 +65,7 @@ def cycle_companion(n: int) -> Matrix:
 def circulant(c: Vector) -> Matrix:
     """Circulant with first row c: entry (i, j) is c[(j - i) mod n], which is
     sum_k c_k C**(k-1) for the cycle companion matrix C."""
-    n, row = c.dim, list(c)
-    return Matrix([row[n - i :] + row[: n - i] for i in range(n)], c.mode)
+    return index_matrix(c, lambda i, j: j - i)
 
 
 def extremal_row_image(

@@ -12,6 +12,8 @@ bound.  The array is int64 when the bound is below 2**62 and a Python-int
 ``array_form()`` returns the state, and equality and hashing read it.
 ``entries`` is a view, nested lists of ``Fraction`` or ``complex`` built on
 first use; an array built from input keeps its coerced input as the view.
+``from_pairs`` and ``to_pairs`` move entries in and out as pairs of numbers,
+``(p, q)`` or ``(re, im)``, without the view.
 Arrays are immutable: callers build a new array instead of mutating one.
 
 Every rational result passes through one lowest-terms constructor, and
@@ -44,7 +46,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import (
+    Callable,
+    Iterable,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
@@ -109,17 +121,26 @@ _INT64_SAFE = 2**62
 
 
 def integer_form(rows) -> IntegerForm:
-    """Clear the denominators of rows of Fractions.
+    """Clear the denominators of rows of Fractions."""
+    values = [v for row in rows for v in row]
+    return _cleared(
+        [v.numerator for v in values], [v.denominator for v in values], (len(rows), -1)
+    )
+
+
+def _cleared(ps: Sequence[int], qs: Sequence[int], shape) -> IntegerForm:
+    """The ``IntegerForm`` of the fractions ``ps[k] / qs[k]``, each in lowest
+    terms with a positive denominator, as numerators over ``lcm(qs)``.
 
     The result is in lowest terms: a prime dividing the common denominator
     divides the denominator of some entry as often, and that entry's
     cleared numerator is prime to it.
     """
-    den = math.lcm(*(v.denominator for row in rows for v in row))
-    cleared = [[v.numerator * (den // v.denominator) for v in row] for row in rows]
-    bound = max(abs(v) for row in cleared for v in row)
+    den = math.lcm(*qs)
+    num = ps if den == 1 else [p * (den // q) for p, q in zip(ps, qs)]
+    bound = max(map(abs, num))
     dtype = np.int64 if bound < _INT64_SAFE else object
-    return IntegerForm(np.array(cleared, dtype=dtype), den, bound)
+    return IntegerForm(np.array(num, dtype=dtype).reshape(shape), den, bound)
 
 
 def integer_product(op, *operands, bound: int) -> np.ndarray:
@@ -205,6 +226,37 @@ class _Array:
         if mode == COMPLEX:
             return cls._of(COMPLEX, values.astype(complex))
         raise ValueError(f"unknown scalar mode {mode!r}")
+
+    @classmethod
+    def from_pairs(cls, pairs: Sequence[Tuple], shape: Tuple[int, ...], mode: str):
+        """The array of ``shape`` whose entries, row-major, are ``pairs``.
+
+        In rational mode a pair is ``(p, q)``, ints for the fraction p/q in
+        lowest terms with q > 0, and the pairs are cleared to numerators over
+        ``lcm(q)``.  In complex mode a pair is ``(re, im)``, floats that go
+        straight into the complex array, which must be finite.  No entry is
+        coerced on its own.
+        """
+        if not pairs:
+            raise ValueError(cls._empty_error)
+        if mode == RATIONAL:
+            ps, qs = [p for p, _ in pairs], [q for _, q in pairs]
+            return cls._of(RATIONAL, _cleared(ps, qs, shape))
+        if mode == COMPLEX:
+            return cls._complex(np.array(pairs, dtype=float).view(complex).reshape(shape))
+        raise ValueError(f"unknown scalar mode {mode!r}")
+
+    def to_pairs(self) -> Iterator[Tuple]:
+        """The entries, row-major, as the pairs ``from_pairs`` takes: each
+        rational entry in lowest terms, read off one vectorised gcd of the
+        numerators with the denominator; each complex entry as its real and
+        imaginary parts."""
+        if self.mode == COMPLEX:
+            flat = self._state.ravel()
+            return zip(flat.real.tolist(), flat.imag.tolist())
+        num, den, bound = self._state
+        g = integer_product(np.gcd, num, den, bound=bound)
+        return zip((num // g).ravel().tolist(), (den // g).ravel().tolist())
 
     @classmethod
     def _rational(cls, num: np.ndarray, den: int):
@@ -430,6 +482,16 @@ class Matrix(_Array):
         return _product(type(other), self, other, np.matmul, self.ncols)
 
 
+def index_matrix(c: Vector, index: Callable) -> Matrix:
+    """The n-by-n matrix with entry (i, j), 0-based, ``c[index(i, j) mod n]``
+    for n = c.dim; ``index`` maps integer arrays of row and column indices
+    to an integer array.  The entries of c are taken as they are, so the n
+    values reach the n**2 entries without coercing each one."""
+    n = c.dim
+    rows, cols = np.ogrid[:n, :n]
+    return c._with_values(Matrix, c._values[index(rows, cols) % n])
+
+
 def kron(A: Matrix, B: Matrix) -> Matrix:
     """Kronecker product, blockwise [a_ij * B]."""
     _require_same_mode(A, B)
@@ -511,7 +573,8 @@ def inverse(S: Matrix) -> Matrix:
     In rational mode S = N / d.  When the Gram matrix G = N N^T is diagonal
     with no zero on its diagonal g, S^{-1} = d N^T diag(1/g), formed exactly
     as numerators over lcm(g); G is one integer product, int64 unless it
-    could overflow.  Otherwise ``bareiss_eliminate`` eliminates ``[N | I]``;
+    could overflow, and is formed only when its row 0, one matrix-vector
+    product, passes.  Otherwise ``bareiss_eliminate`` eliminates ``[N | I]``;
     the left block ends as det * I and S^{-1} is d / det times the right
     block.  Both give the same canonical result, and a zero row takes the
     elimination.  Complex mode keeps Gauss-Jordan: a floating-point Gram
@@ -526,16 +589,20 @@ def inverse(S: Matrix) -> Matrix:
     n = S.nrows
     if S.mode == RATIONAL:
         form = S.array_form()
-        gram = integer_product(np.matmul, form.num, form.num.T, bound=n * form.bound**2)
-        g = np.diagonal(gram).tolist()
-        if all(g) and np.count_nonzero(gram) == n:
-            # S^-1 = d N^T diag(1/g): column j of N^T times d L / g_j, over L = lcm(g).
-            lcm = math.lcm(*g)
-            f = [form.den * (lcm // v) for v in g]
-            top = max(f)
-            f = np.array(f, dtype=np.int64 if top < _INT64_SAFE else object)
-            num = integer_product(np.multiply, form.num.T, f, bound=form.bound * top)
-            return Matrix._rational(num, lcm)
+        bound = n * form.bound**2
+        # Row 0 of G first: most matrices without orthogonal rows fail it in O(n^2).
+        first = integer_product(np.matmul, form.num, form.num[0], bound=bound)
+        if first[0] and not first[1:].any():
+            gram = integer_product(np.matmul, form.num, form.num.T, bound=bound)
+            g = np.diagonal(gram).tolist()
+            if all(g) and np.count_nonzero(gram) == n:
+                # S^-1 = d N^T diag(1/g): column j of N^T times d L / g_j, over L = lcm(g).
+                lcm = math.lcm(*g)
+                f = [form.den * (lcm // v) for v in g]
+                top = max(f)
+                f = np.array(f, dtype=np.int64 if top < _INT64_SAFE else object)
+                num = integer_product(np.multiply, form.num.T, f, bound=form.bound * top)
+                return Matrix._rational(num, lcm)
         aug = np.hstack([form.num, np.identity(n, dtype=int)]).astype(object)
         pivots, det = bareiss_eliminate(aug)
         if pivots[:n] != list(range(n)):

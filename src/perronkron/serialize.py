@@ -5,29 +5,36 @@ Matrices serialize as ``{"mode": "rational"|"complex", "rows": m,
 are ``"p/q"`` strings in lowest terms with positive q, so round trips are
 bit-exact; complex entries are ``[re, im]`` pairs.  Vectors use the same
 entry encoding with ``{"mode", "dim", "data"}``.
+
+Both directions run on the array state.  ``_decode_entry`` validates each
+entry and returns its pair of numbers, ``(p, q)`` or ``(re, im)``, and
+``from_pairs`` builds the state from them at once; the encoder reads the
+pairs back from ``to_pairs``.  No entry becomes a ``Fraction``.
 """
 from __future__ import annotations
 
 import json
 import math
 import re
-from fractions import Fraction
 from typing import Any, Dict, Tuple
 
 from .linalg import COMPLEX, RATIONAL, Matrix, Vector
 
-# Exactly what _encode_entry writes: ASCII digits, no sign on 0, q >= 1.
+# Exactly what the encoder writes: ASCII digits, no sign on 0, q >= 1.
 _RATIONAL_ENTRY = re.compile(r"(0|-?[1-9][0-9]*)/([1-9][0-9]*)")
 
 
-def _encode_entry(value, mode: str):
-    if mode == RATIONAL:
-        return f"{value.numerator}/{value.denominator}"
-    return [value.real, value.imag]
+def _encode(a) -> list:
+    """The wire entries of a vector or matrix, row-major."""
+    if a.mode == RATIONAL:
+        return [f"{p}/{q}" for p, q in a.to_pairs()]
+    return [[re, im] for re, im in a.to_pairs()]
 
 
-def _decode_entry(raw, mode: str):
-    """Inverse of ``_encode_entry``; anything it would not write is rejected."""
+def _decode_entry(raw, mode: str) -> Tuple:
+    """The pair of numbers of one wire entry: ``(p, q)`` ints in rational
+    mode, ``(re, im)`` floats in complex mode.  Anything the encoder would
+    not write is rejected."""
     if mode == RATIONAL:
         match = _RATIONAL_ENTRY.fullmatch(raw) if isinstance(raw, str) else None
         if match is None:
@@ -37,7 +44,7 @@ def _decode_entry(raw, mode: str):
         p, q = int(match[1]), int(match[2])
         if math.gcd(p, q) != 1:
             raise ValueError(f"rational entry {raw!r} is not in lowest terms")
-        return Fraction(p, q)
+        return p, q
     if not (
         isinstance(raw, (list, tuple))
         and len(raw) == 2
@@ -45,7 +52,7 @@ def _decode_entry(raw, mode: str):
     ):
         raise ValueError(f"complex entries must be [re, im] number pairs, got {raw!r}")
     try:
-        return complex(raw[0], raw[1])
+        return float(raw[0]), float(raw[1])
     except OverflowError:
         raise ValueError(f"complex entry {raw!r} is out of range") from None
 
@@ -71,34 +78,26 @@ def document_sizes(obj: Dict[str, Any], *keys: str) -> Tuple[int, ...]:
     return sizes
 
 
+def _decode(cls, obj: Dict[str, Any], *keys: str):
+    shape = document_sizes(obj, *keys)
+    mode = obj["mode"]
+    return cls.from_pairs([_decode_entry(v, mode) for v in obj["data"]], shape, mode)
+
+
 def matrix_to_dict(A: Matrix) -> Dict[str, Any]:
-    return {
-        "mode": A.mode,
-        "rows": A.nrows,
-        "cols": A.ncols,
-        "data": [_encode_entry(v, A.mode) for row in A.entries for v in row],
-    }
+    return {"mode": A.mode, "rows": A.nrows, "cols": A.ncols, "data": _encode(A)}
 
 
 def matrix_from_dict(obj: Dict[str, Any]) -> Matrix:
-    m, n = document_sizes(obj, "rows", "cols")
-    mode = obj["mode"]
-    entries = [_decode_entry(v, mode) for v in obj["data"]]
-    return Matrix([entries[i * n : (i + 1) * n] for i in range(m)], mode)
+    return _decode(Matrix, obj, "rows", "cols")
 
 
 def vector_to_dict(x: Vector) -> Dict[str, Any]:
-    return {
-        "mode": x.mode,
-        "dim": x.dim,
-        "data": [_encode_entry(v, x.mode) for v in x.entries],
-    }
+    return {"mode": x.mode, "dim": x.dim, "data": _encode(x)}
 
 
 def vector_from_dict(obj: Dict[str, Any]) -> Vector:
-    document_sizes(obj, "dim")
-    mode = obj["mode"]
-    return Vector([_decode_entry(v, mode) for v in obj["data"]], mode)
+    return _decode(Vector, obj, "dim")
 
 
 def matrix_to_json(A: Matrix) -> str:

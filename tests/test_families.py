@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from perronkron import linalg
 from perronkron.families import (
     VerificationFailedError,
     circulant,
@@ -249,3 +250,58 @@ def test_extremal_row_image_is_the_cycle_power():
         for k in range(1, n + 1):
             assert matrices_close(extremal_row_image(n, k), power, Tolerance(1e-9))
             power = power @ C
+
+
+# --- dft and circulant index their n values into the state --------------------
+
+
+def _oracle_dft(n):
+    """The DFT matrix built entry by entry, each entry its own exp call."""
+    return Matrix(
+        [
+            [cmath.exp(2j * cmath.pi * ((i * j) % n) / n) for j in range(n)]
+            for i in range(n)
+        ],
+        COMPLEX,
+    )
+
+
+def _oracle_circulant(c):
+    """Row i is c rotated right by i, built by slicing."""
+    n, row = c.dim, list(c)
+    return Matrix([row[n - i :] + row[: n - i] for i in range(n)], c.mode)
+
+
+@pytest.mark.parametrize("n", list(range(1, 33)) + [60, 97, 128])
+def test_dft_matches_the_entrywise_oracle_bit_for_bit(n):
+    assert _same_state(dft(n), _oracle_dft(n))
+
+
+def test_circulant_matches_the_slicing_oracle_bit_for_bit():
+    rng = random.Random(5)
+    specials = [0.0, -0.0, 1.5, -2.0, 5e-324]
+    for n in range(1, 20):
+        c = Vector.rational(
+            [Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3, 2**70])) for _ in range(n)]
+        )
+        assert _same_state(circulant(c), _oracle_circulant(c))
+        z = Vector.complex_(
+            [complex(rng.choice(specials), rng.choice(specials)) for _ in range(n)]
+        )
+        assert _same_state(circulant(z), _oracle_circulant(z))
+
+
+def test_dft_and_cycle_coerce_only_n_values(monkeypatch):
+    exps, coerced = [], []
+    exp, coerce = cmath.exp, linalg._coerce
+    monkeypatch.setattr(cmath, "exp", lambda z: exps.append(z) or exp(z))
+    monkeypatch.setattr(
+        linalg, "_coerce", lambda v, mode: coerced.append(v) or coerce(v, mode)
+    )
+    dft(64)
+    assert (len(exps), len(coerced)) == (64, 64)
+    exps.clear()
+    coerced.clear()
+    cycle_companion(64)
+    circulant(Vector.complex_([1j, 2, -3.5]))
+    assert (exps, len(coerced)) == ([], 3)

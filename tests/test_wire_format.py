@@ -1,0 +1,349 @@
+"""Differential tests of the wire format against the Fraction codec it replaced.
+
+The oracle below is the codec as it was before decoding and encoding moved
+onto the array state: every rational entry went through a ``Fraction``, and
+the encoder read the ``entries`` view.  It lives here, not in the library.
+Rational states are compared with their numerator dtype, complex states bit
+for bit, and encoded documents as JSON text, so a lost ``-0.0`` shows.
+"""
+import contextlib
+import io
+import json
+import math
+import random
+import re
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from perronkron import serialize
+from perronkron.cli import main
+from perronkron.families import circulant, cycle_companion, dft, hadamard_like
+from perronkron.linalg import COMPLEX, RATIONAL, Matrix, Vector, inverse, kron
+from perronkron.serialize import (
+    document_sizes,
+    matrix_from_dict,
+    matrix_to_dict,
+    matrix_to_json,
+    vector_from_dict,
+    vector_to_dict,
+)
+
+# --- the oracle: the Fraction codec -------------------------------------------
+
+_ORACLE_ENTRY = re.compile(r"(0|-?[1-9][0-9]*)/([1-9][0-9]*)")
+
+
+def _oracle_encode_entry(value, mode):
+    if mode == RATIONAL:
+        return f"{value.numerator}/{value.denominator}"
+    return [value.real, value.imag]
+
+
+def _oracle_decode_entry(raw, mode):
+    if mode == RATIONAL:
+        match = _ORACLE_ENTRY.fullmatch(raw) if isinstance(raw, str) else None
+        if match is None:
+            raise ValueError(
+                f"rational entries must be 'p/q' strings with q > 0, got {raw!r}"
+            )
+        p, q = int(match[1]), int(match[2])
+        if math.gcd(p, q) != 1:
+            raise ValueError(f"rational entry {raw!r} is not in lowest terms")
+        return Fraction(p, q)
+    if not (
+        isinstance(raw, (list, tuple))
+        and len(raw) == 2
+        and all(type(part) in (int, float) for part in raw)
+    ):
+        raise ValueError(f"complex entries must be [re, im] number pairs, got {raw!r}")
+    try:
+        return complex(raw[0], raw[1])
+    except OverflowError:
+        raise ValueError(f"complex entry {raw!r} is out of range") from None
+
+
+def oracle_matrix_to_dict(A):
+    return {
+        "mode": A.mode,
+        "rows": A.nrows,
+        "cols": A.ncols,
+        "data": [_oracle_encode_entry(v, A.mode) for row in A.entries for v in row],
+    }
+
+
+def oracle_matrix_from_dict(obj):
+    m, n = document_sizes(obj, "rows", "cols")
+    mode = obj["mode"]
+    entries = [_oracle_decode_entry(v, mode) for v in obj["data"]]
+    return Matrix([entries[i * n : (i + 1) * n] for i in range(m)], mode)
+
+
+def oracle_vector_to_dict(x):
+    return {
+        "mode": x.mode,
+        "dim": x.dim,
+        "data": [_oracle_encode_entry(v, x.mode) for v in x.entries],
+    }
+
+
+def oracle_vector_from_dict(obj):
+    document_sizes(obj, "dim")
+    mode = obj["mode"]
+    return Vector([_oracle_decode_entry(v, mode) for v in obj["data"]], mode)
+
+
+# --- helpers -------------------------------------------------------------------
+
+
+def _assert_same_state(A, B):
+    """Same type and mode; equal numerators, dtype, denominator and bound in
+    rational mode, equal bits in complex mode."""
+    assert (type(A), A.mode) == (type(B), B.mode)
+    a, b = A.array_form(), B.array_form()
+    if A.mode == COMPLEX:
+        assert (a.shape, a.dtype) == (b.shape, b.dtype)
+        assert a.tobytes() == b.tobytes()
+    else:
+        assert (a.den, a.bound, a.num.dtype, a.num.shape) == (
+            b.den, b.bound, b.num.dtype, b.num.shape
+        )
+        assert np.array_equal(a.num, b.num)
+
+
+def _assert_same_codec(A):
+    """Encoding agrees with the oracle as JSON text, and decoding the
+    oracle's document gives the oracle's state and A back."""
+    to_dict, from_dict, oracle_to, oracle_from = (
+        (matrix_to_dict, matrix_from_dict, oracle_matrix_to_dict, oracle_matrix_from_dict)
+        if isinstance(A, Matrix)
+        else (vector_to_dict, vector_from_dict, oracle_vector_to_dict, oracle_vector_from_dict)
+    )
+    doc = oracle_to(A)
+    assert json.dumps(to_dict(A)) == json.dumps(doc)
+    decoded = from_dict(json.loads(json.dumps(doc)))
+    _assert_same_state(decoded, oracle_from(json.loads(json.dumps(doc))))
+    _assert_same_state(decoded, A)
+
+
+_BIG = 2**62
+
+
+def _rational(rng):
+    """A Fraction: often 0 or an integer, sometimes with a numerator or a
+    denominator past 2**62."""
+    kind = rng.randrange(6)
+    if kind == 0:
+        return Fraction(0)
+    if kind == 1:
+        return Fraction(rng.randint(-9, 9))
+    if kind == 2:
+        return Fraction(rng.randint(-99, 99), rng.randint(1, 40))
+    if kind == 3:
+        sign = rng.choice([-1, 1])
+        return Fraction(sign * rng.randint(_BIG - 5, 4 * _BIG), rng.randint(1, 7))
+    if kind == 4:
+        return Fraction(rng.randint(-5, 5), rng.randint(_BIG - 5, 4 * _BIG))
+    return Fraction(rng.randint(-(2**70), 2**70), rng.randint(1, 2**70))
+
+
+def _rational_cases():
+    rng = random.Random(2024)
+    for k in range(120):
+        m, n = rng.randint(1, 5), rng.randint(1, 5)
+        # Some arrays draw only small entries, so the int64 path is covered.
+        draw = _rational if k % 3 else (lambda r: Fraction(r.randint(-9, 9), r.randint(1, 9)))
+        A = Matrix.rational([[draw(rng) for _ in range(n)] for _ in range(m)])
+        yield f"matrix-{k}", A
+        yield f"row-{k}", A.row(0)
+    yield "big-denominator", Vector.rational([Fraction(1, 2**70), Fraction(-3, 2**70), 0])
+    yield "big-integers", Matrix.rational([[2**70, -1], [0, -(2**63)]])
+    yield "zeros", Matrix.rational([[0, 0], [0, 0]])
+    yield "zero-vector", Vector.rational([0])
+    yield "negatives", Matrix.rational([[-1, Fraction(-3, 7)], [Fraction(-(2**90), 11), -5]])
+    yield "hadamard-inverse", inverse(hadamard_like(5))
+    yield "product", Matrix.rational([[Fraction(1, 3), 2]]) @ Matrix.rational(
+        [[Fraction(2**80, 5)], [Fraction(-1, 2**70)]]
+    )
+
+
+_RATIONAL_CASES = list(_rational_cases())
+
+
+@pytest.mark.parametrize("A", [pytest.param(A, id=name) for name, A in _RATIONAL_CASES])
+def test_rational_codec_matches_the_fraction_codec(A):
+    _assert_same_codec(A)
+
+
+def test_rational_cases_cover_both_paths_and_big_denominators():
+    forms = [A.array_form() for _, A in _RATIONAL_CASES]
+    assert {f.num.dtype for f in forms} == {np.dtype(np.int64), np.dtype(object)}
+    assert any(f.den >= _BIG for f in forms if f.num.dtype == np.int64)
+    assert any(f.bound >= _BIG and f.den == 1 for f in forms)
+
+
+def _complex_cases():
+    specials = [0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                1.7976931348623157e308, -1e-310, 0.1, 1 / 3]
+    rng = random.Random(7)
+    for k in range(60):
+        m, n = rng.randint(1, 4), rng.randint(1, 4)
+        rows = [
+            [complex(rng.choice(specials + [rng.uniform(-9, 9)]),
+                     rng.choice(specials + [rng.uniform(-9, 9)])) for _ in range(n)]
+            for _ in range(m)
+        ]
+        A = Matrix.complex_(rows)
+        yield f"matrix-{k}", A
+        yield f"row-{k}", A.row(m - 1)
+    yield "negative-zeros", Vector.complex_([complex(-0.0, -0.0), complex(0.0, -0.0)])
+
+
+@pytest.mark.parametrize("A", [pytest.param(A, id=name) for name, A in _complex_cases()])
+def test_complex_codec_matches_the_fraction_codec(A):
+    _assert_same_codec(A)
+
+
+@pytest.mark.parametrize("data", [
+    [[3, -2], [0, 0], [-0.0, 0], [0, -0.0]],
+    [[2**53 + 1, 1], [-(10**300), 10**20], [5e-324, -5e-324], [1e308, -1.7976931348623157e308]],
+])
+def test_complex_documents_with_int_parts_decode_as_the_oracle(data):
+    doc = {"mode": "complex", "dim": len(data), "data": data}
+    x = vector_from_dict(doc)
+    _assert_same_state(x, oracle_vector_from_dict(doc))
+    assert json.dumps(vector_to_dict(x)) == json.dumps(oracle_vector_to_dict(x))
+
+
+# --- every `gen` family, byte for byte -----------------------------------------
+# The families themselves are checked against their entrywise constructions
+# in test_families.py.
+
+
+def _gen_stdout(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["gen", *argv]) == 0
+    return out.getvalue()
+
+
+def _oracle_text(A):
+    return json.dumps(oracle_matrix_to_dict(A)) + "\n"
+
+
+@pytest.mark.parametrize("depth", range(2, 8))
+def test_gen_hadamard_is_byte_identical_to_the_oracle(depth):
+    assert _gen_stdout(["hadamard", str(depth)]) == _oracle_text(hadamard_like(depth))
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_gen_dft_and_cycle_are_byte_identical_to_the_oracle(n):
+    assert _gen_stdout(["dft", str(n)]) == _oracle_text(dft(n))
+    assert _gen_stdout(["cycle", str(n)]) == _oracle_text(cycle_companion(n))
+
+
+@pytest.mark.parametrize("row", ["1", "1/2,-3/4,0,5", "0,0,0", "7/3,-8", "1,2,3,4,5,6,7,8,9"])
+def test_gen_circulant_is_byte_identical_to_the_oracle(row):
+    c = Vector.rational([Fraction(v) for v in row.split(",")])
+    assert _gen_stdout(["circulant", row]) == _oracle_text(circulant(c))
+
+
+def test_gen_counterexample_is_byte_identical_to_the_oracle():
+    expected = kron(Matrix.rational([[1, 1], [1, -1]]), Matrix.rational([[1, 2], [1, 1]]))
+    assert _gen_stdout(["counterexample"]) == _oracle_text(expected)
+
+
+def test_invert_round_trip_is_byte_identical_to_the_oracle():
+    H = hadamard_like(6)
+    assert matrix_to_json(inverse(H)) == json.dumps(oracle_matrix_to_dict(inverse(H)))
+
+
+# --- malformed documents: the same first bad entry, the same message ------------
+
+
+def _outcome(decode, doc):
+    try:
+        decode(doc)
+    except (ValueError, KeyError, TypeError) as exc:
+        return type(exc).__name__, str(exc)
+    return None
+
+
+_json_scalars = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+_rational_entries = st.one_of(
+    st.builds(lambda p, q: f"{p}/{q}", st.integers(-20, 20), st.integers(-2, 20)),
+    st.sampled_from(["1/1", "-1/2", "0/1", "-0/1", "2/4", " 1/2", "01/2", "1/02", "1"]),
+    _json_scalars,
+    st.lists(_json_scalars, max_size=2),
+)
+_complex_parts = (
+    st.floats() | st.integers(-(10**310), 10**310) | st.booleans() | st.none()
+    | st.text(max_size=2)
+)
+_complex_entries = st.one_of(
+    st.lists(_complex_parts, min_size=2, max_size=2),
+    st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=2, max_size=2),
+    st.lists(_complex_parts, max_size=3),
+    _json_scalars,
+)
+
+
+@st.composite
+def _documents(draw, kind):
+    mode = draw(st.sampled_from([RATIONAL, COMPLEX]))
+    entries = _rational_entries if mode == RATIONAL else _complex_entries
+    dims = ("rows", "cols") if kind == "matrix" else ("dim",)
+    shape = {key: draw(st.integers(1, 3)) for key in dims}
+    count = math.prod(shape.values())
+    data = draw(st.lists(entries, min_size=count, max_size=count))
+    return {"mode": mode, **shape, "data": data}
+
+
+_SETTINGS = settings(
+    max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+
+
+@_SETTINGS
+@given(_documents("matrix"))
+def test_matrix_documents_fail_as_the_oracle_fails(doc):
+    expected = _outcome(oracle_matrix_from_dict, doc)
+    assert _outcome(matrix_from_dict, doc) == expected
+    if expected is None:
+        _assert_same_state(matrix_from_dict(doc), oracle_matrix_from_dict(doc))
+
+
+@_SETTINGS
+@given(_documents("vector"))
+def test_vector_documents_fail_as_the_oracle_fails(doc):
+    expected = _outcome(oracle_vector_from_dict, doc)
+    assert _outcome(vector_from_dict, doc) == expected
+    if expected is None:
+        _assert_same_state(vector_from_dict(doc), oracle_vector_from_dict(doc))
+
+
+@pytest.mark.parametrize("data, message", [
+    (["1/2", "2/4", "x"], "rational entry '2/4' is not in lowest terms"),
+    (["1/2", "x", "2/4"], "rational entries must be 'p/q' strings with q > 0, got 'x'"),
+    # Every entry is decoded before the finiteness test of the array.
+    ([[1.0, 0.0], [float("inf"), 0.0], [10**400, 0]],
+     f"complex entry {[10**400, 0]!r} is out of range"),
+    ([[1.0, 0.0], [float("inf"), 0.0], [float("nan"), 1.0]],
+     "complex entries must be finite, got (inf+0j)"),
+    ([[float("nan"), 1.0], [float("inf"), 0.0], [0.0, 0.0]],
+     "complex entries must be finite, got (nan+1j)"),
+])
+def test_the_first_bad_entry_is_named(data, message):
+    mode = RATIONAL if isinstance(data[0], str) else COMPLEX
+    doc = {"mode": mode, "dim": len(data), "data": data}
+    assert _outcome(vector_from_dict, doc) == ("ValueError", message)
+    assert _outcome(oracle_vector_from_dict, doc) == ("ValueError", message)
+
+
+def test_decode_entry_returns_the_pair():
+    assert serialize._decode_entry("-3/7", RATIONAL) == (-3, 7)
+    assert serialize._decode_entry([2, -0.0], COMPLEX) == (2.0, -0.0)
+    assert math.copysign(1, serialize._decode_entry([2, -0.0], COMPLEX)[1]) == -1
