@@ -235,16 +235,13 @@ class _Array:
         lowest terms with q > 0, and the pairs are cleared to numerators over
         ``lcm(q)``.  In complex mode a pair is ``(re, im)``, floats that go
         straight into the complex array, which must be finite.  No entry is
-        coerced on its own.
+        coerced on its own.  The caller has checked that ``pairs`` is not
+        empty, that it fills ``shape`` and that ``mode`` is known.
         """
-        if not pairs:
-            raise ValueError(cls._empty_error)
         if mode == RATIONAL:
             ps, qs = [p for p, _ in pairs], [q for _, q in pairs]
             return cls._of(RATIONAL, _cleared(ps, qs, shape))
-        if mode == COMPLEX:
-            return cls._complex(np.array(pairs, dtype=float).view(complex).reshape(shape))
-        raise ValueError(f"unknown scalar mode {mode!r}")
+        return cls._complex(np.array(pairs, dtype=float).view(complex).reshape(shape))
 
     def to_pairs(self) -> Iterator[Tuple]:
         """The entries, row-major, as the pairs ``from_pairs`` takes: each
@@ -573,8 +570,7 @@ def inverse(S: Matrix) -> Matrix:
     In rational mode S = N / d.  When the Gram matrix G = N N^T is diagonal
     with no zero on its diagonal g, S^{-1} = d N^T diag(1/g), formed exactly
     as numerators over lcm(g); G is one integer product, int64 unless it
-    could overflow, and is formed only when its row 0, one matrix-vector
-    product, passes.  Otherwise ``bareiss_eliminate`` eliminates ``[N | I]``;
+    could overflow.  Otherwise ``bareiss_eliminate`` eliminates ``[N | I]``;
     the left block ends as det * I and S^{-1} is d / det times the right
     block.  Both give the same canonical result, and a zero row takes the
     elimination.  Complex mode keeps Gauss-Jordan: a floating-point Gram
@@ -589,20 +585,16 @@ def inverse(S: Matrix) -> Matrix:
     n = S.nrows
     if S.mode == RATIONAL:
         form = S.array_form()
-        bound = n * form.bound**2
-        # Row 0 of G first: most matrices without orthogonal rows fail it in O(n^2).
-        first = integer_product(np.matmul, form.num, form.num[0], bound=bound)
-        if first[0] and not first[1:].any():
-            gram = integer_product(np.matmul, form.num, form.num.T, bound=bound)
-            g = np.diagonal(gram).tolist()
-            if all(g) and np.count_nonzero(gram) == n:
-                # S^-1 = d N^T diag(1/g): column j of N^T times d L / g_j, over L = lcm(g).
-                lcm = math.lcm(*g)
-                f = [form.den * (lcm // v) for v in g]
-                top = max(f)
-                f = np.array(f, dtype=np.int64 if top < _INT64_SAFE else object)
-                num = integer_product(np.multiply, form.num.T, f, bound=form.bound * top)
-                return Matrix._rational(num, lcm)
+        gram = integer_product(np.matmul, form.num, form.num.T, bound=n * form.bound**2)
+        g = np.diagonal(gram).tolist()
+        if all(g) and np.count_nonzero(gram) == n:
+            # S^-1 = d N^T diag(1/g): column j of N^T times d L / g_j, over L = lcm(g).
+            lcm = math.lcm(*g)
+            f = [form.den * (lcm // v) for v in g]
+            top = max(f)
+            f = np.array(f, dtype=np.int64 if top < _INT64_SAFE else object)
+            num = integer_product(np.multiply, form.num.T, f, bound=form.bound * top)
+            return Matrix._rational(num, lcm)
         aug = np.hstack([form.num, np.identity(n, dtype=int)]).astype(object)
         pivots, det = bareiss_eliminate(aug)
         if pivots[:n] != list(range(n)):

@@ -264,34 +264,6 @@ def test_non_diagonal_gram_takes_elimination(monkeypatch):
     assert calls == [(16, 32), (12, 24)]
 
 
-def test_row_zero_refusal_forms_no_gram(monkeypatch):
-    """A matrix whose row 0 meets another row takes the elimination after
-    one matrix-vector product; N N^T is formed only when row 0 passes."""
-    rng = random.Random(48)
-    dense = Matrix.rational(_random_rows(rng, 10, 10, 10))
-    big = Matrix.rational([[2**80 + i * (i == j) for j in range(6)] for i in range(6)])
-    rows = [list(row) for row in _sylvester(16).entries]
-    rows[0][3] = Fraction(3)
-    late = Matrix.rational([[1, 1, 1], [1, -1, 0], [1, 0, -1]])  # rows 1 and 2 meet
-    cases = [dense, big, Matrix.rational(rows), late]
-    assert big.array_form().num.dtype == object
-    products = []
-    integer_product = linalg.integer_product
-
-    def spy(op, *operands, bound):
-        if op is np.matmul:
-            products.append([np.ndim(v) for v in operands])
-        return integer_product(op, *operands, bound=bound)
-
-    monkeypatch.setattr(linalg, "integer_product", spy)
-    calls = _counting_bareiss(monkeypatch)
-    for S in cases:
-        _assert_same_state(inverse(S), _oracle_inverse(S))
-    # Only the last case passes row 0, so only it forms the Gram matrix.
-    assert products == [[2, 1]] * 4 + [[2, 2]]
-    assert calls == [(10, 20), (6, 12), (16, 32), (3, 6)]
-
-
 def test_zero_rows_keep_singular_message(monkeypatch):
     """A zero row takes the elimination, also where N N^T has exactly n
     nonzero entries, two of them off the diagonal."""
