@@ -8,9 +8,12 @@ array state: rational generators as numerators over one denominator,
 complex ones split into real and imaginary rows, with each float (and eps)
 lifted exactly by ``float.as_integer_ratio`` and each equality relaxed to
 a band of width eps via slack variables.  Its rows reach the simplex as
-lists of Python ints in lowest terms, each with its own positive
-denominator, and every tableau row stays in that form, so a pivot updates
-integers and takes one gcd per row, not one per entry.
+integers in lowest terms, each with its own positive denominator.  The
+simplex pivots one integer tableau, every constraint row and the objective
+with its denominator in its last column, by one vectorised rank-1 update
+and one gcd per row: in int64 while no update can overflow it, on Python
+ints after.  A column that is +/- a row's unit vector, every complex slack
+among them, is read off that row's artificial column instead of stored.
 """
 from __future__ import annotations
 
@@ -28,9 +31,11 @@ from .linalg import (
     ModeMismatchError,
     Tolerance,
     Vector,
+    _INT64_SAFE,
     bareiss_eliminate,
     inf_norm,
     integer_form,
+    integer_product,
     kron,
     kron_factor,
     kron_vec,
@@ -83,78 +88,126 @@ def _phase_one_feasible(
     Row i of [A | b] is ``system[i] / dens[i]``, ints over a positive
     denominator.  Phase-one simplex with artificial variables and Bland's
     rule (smallest eligible entering index; ties in the ratio test broken
-    by smallest basic variable index).  Each tableau row, and the objective
-    row, is a list of ints R with its own positive denominator d, standing
-    for R/d.
+    by smallest basic variable index).
+
+    The tableau is one integer array with a row per constraint and the
+    objective last.  Its columns are the stored structural variables, the
+    m artificials, the rhs and the row's positive denominator, so row r
+    stands for ``T[r, :-1] / T[r, -1]`` and one rank-1 update pivots every
+    row.  A structural column whose only nonzero is +/- the denominator of
+    row i is +/- the artificial column of row i in every tableau, so it is
+    not stored; its reduced cost is +/- (objective's artificial entry +
+    objective's denominator).  The array is int64 while ``integer_product``
+    admits the update, and Python ints from then on.
     """
     m = len(system)
-    n = len(system[0]) - 1 if m else 0
-    total_cols = n + m
-    # Tableau columns: n structural vars, then m artificials, then rhs.
-    rows: List[List[int]] = []
-    dens = list(dens)
-    for i, (values, d) in enumerate(zip(system, dens)):
-        sign = -1 if values[n] < 0 else 1
-        row = [sign * v for v in values]
-        row[n:n] = [d if j == i else 0 for j in range(m)]
-        rows.append(row)
-    basis = [n + i for i in range(m)]
+    if not m:
+        return []
+    n = len(system[0]) - 1
+    d = np.array(dens, dtype=object)
+    # Flip the rows with a negative rhs, so the artificial basis is feasible.
+    raw = np.array(system, dtype=object)
+    raw *= np.where(raw[:, n] < 0, -1, 1)[:, None]
+    nonzero = raw[:, :n] != 0
+    home = nonzero.argmax(axis=0)
+    value = raw[home, np.arange(n)]
+    unit = (nonzero.sum(axis=0) == 1) & (abs(value) == d[home])
+    folded, stored = np.flatnonzero(unit), np.flatnonzero(~unit)
+    fold_row = home[folded]
+    fold_sign = np.where(value[folded] > 0, 1, -1)
+    k = len(stored)
+    rhs, den = k + m, k + m + 1
+    T = np.zeros((m + 1, k + m + 2), dtype=object)
+    T[:m, :k] = raw[:, stored]
+    T[np.arange(m), k + np.arange(m)] = d
+    T[:m, rhs] = raw[:, n]
+    T[:m, den] = d
     # Objective row for minimizing the artificial sum, kept in reduced form:
     # structural columns start at the column sums, artificial columns at 0.
     obj_den = math.lcm(*dens)
-    weights = [obj_den // d for d in dens]
-    obj = [sum(w * row[j] for w, row in zip(weights, rows)) for j in range(n)]
-    obj += [0] * m
-    obj.append(sum(w * row[total_cols] for w, row in zip(weights, rows)))
-    obj, obj_den = _reduced(obj, obj_den)
+    T[m] = np.array([obj_den // q for q in dens], dtype=object) @ T[:m]
+    T[m, k:rhs] = 0
+    T[m, den] = obj_den
+    T[m] //= np.gcd.reduce(T[m])
+    if abs(T).max() < _INT64_SAFE:
+        T = T.astype(np.int64)
+    basis = list(range(n, n + m))
     while True:
         # Denominators are positive, so each sign is the numerator's.
-        entering = next((j for j in range(total_cols) if obj[j] > 0), None)
-        if entering is None:
-            break
-        leaving = None
-        for i, row in enumerate(rows):
-            coeff = row[entering]
-            if coeff > 0:
-                if leaving is None:
-                    better = True
-                else:
-                    # The row denominator cancels from rhs/coeff, so compare
-                    # two ratios by cross-multiplying positive coefficients.
-                    left, right = row[total_cols] * best_coeff, best_rhs * coeff
-                    better = left < right or (
-                        left == right and basis[i] < basis[leaving]
-                    )
-                if better:
-                    leaving, best_rhs, best_coeff = i, row[total_cols], coeff
-        if leaving is None:
+        obj = T[m]
+        hit = np.flatnonzero(obj[:k] > 0)
+        entering = int(stored[hit[0]]) if hit.size else n
+        column = T[:, hit[0]] if hit.size else None
+        if folded.size:
+            cost = fold_sign * (obj[k + fold_row] + obj[den])
+            hit = np.flatnonzero(cost > 0)
+            if hit.size and folded[hit[0]] < entering:
+                c = hit[0]
+                entering = int(folded[c])
+                column = fold_sign[c] * T[:, k + fold_row[c]]
+                column[m] = cost[c]
+        if column is None:
+            hit = np.flatnonzero(obj[k:rhs] > 0)
+            if not hit.size:
+                break
+            entering = n + int(hit[0])
+            column = T[:, k + hit[0]]
+        candidates = np.flatnonzero(column[:m] > 0)
+        if not candidates.size:
             # Unbounded artificial objective cannot occur; defensive only.
             return None
-        pivot = rows[leaving]
-        p = pivot[entering]
-        dens[leaving] = p
-        for i in range(m):
-            f = rows[i][entering]
-            if i != leaving and f != 0:
-                rows[i], dens[i] = _eliminated(rows[i], dens[i], f, pivot, p)
-        obj, obj_den = _eliminated(obj, obj_den, obj[entering], pivot, p)
+        leaving = None
+        for i, coeff, r in zip(
+            candidates.tolist(), column[candidates].tolist(), T[candidates, rhs].tolist()
+        ):
+            if leaving is None:
+                better = True
+            else:
+                # The row denominator cancels from rhs/coeff, so compare two
+                # ratios by cross-multiplying positive coefficients.
+                left, right = r * best_coeff, best_rhs * coeff
+                better = left < right or (left == right and basis[i] < basis[leaving])
+            if better:
+                leaving, best_rhs, best_coeff = i, r, coeff
+        p = column[leaving]
+        T[leaving, den] = p
+        g = np.gcd.reduce(T[leaving])
+        if g > 1:
+            T[leaving] //= g
+            p //= g
+        pivot = T[leaving].copy()
+        pivot[den] = 0
+        rows = np.flatnonzero(column)
+        rows = rows[rows != leaving]
+        f = column[rows]
+        g = np.gcd(f, p)
+        pp, ff = p // g, f // g
+        block = T[rows]
+        # Once on Python ints the tableau stays there, and no bound applies.
+        bound = 0 if T.dtype == object else (
+            int(abs(block).max()) * int(pp.max()) + int(abs(ff).max()) * int(abs(pivot).max())
+        )
+        block = integer_product(_rank_one, block, pp, ff, pivot, bound=bound)
+        g = np.gcd.reduce(block, axis=1)
+        common = g > 1
+        if common.any():
+            block[common] //= g[common, None]
+        if block.dtype != T.dtype:
+            T = T.astype(object)
+        T[rows] = block
         basis[leaving] = entering
-    if obj[total_cols] != 0:
+    if T[m, rhs] != 0:
         return None
     lam = [Fraction(0)] * n
     for i, var in enumerate(basis):
         if var < n:
-            lam[var] = Fraction(rows[i][total_cols], dens[i])
+            lam[var] = Fraction(int(T[i, rhs]), int(T[i, den]))
     return lam
 
 
-def _eliminated(
-    row: List[int], d: int, f: int, pivot: List[int], p: int
-) -> Tuple[List[int], int]:
-    """(row/d) - (f/d) * (pivot/p) as ints over one denominator."""
-    g = math.gcd(p, f)
-    p, f = p // g, f // g
-    return _reduced([p * v - f * w for v, w in zip(row, pivot)], d * p)
+def _rank_one(block, pp, ff, pivot):
+    """Each row of ``block`` times ``pp`` minus ``ff`` times the pivot row."""
+    return block * pp[:, None] - ff[:, None] * pivot
 
 
 def _reduced(row: List[int], d: int) -> Tuple[List[int], int]:

@@ -261,6 +261,46 @@ def test_gen_circulant_zero_denominator_exits_2(row):
     _assert_one_line_error(*_run(["gen", "circulant", row]))
 
 
+def _recording_fraction(monkeypatch):
+    """Replace the CLI's ``Fraction`` by one that records each entry it is
+    handed, so a test that reaches it with a huge exponent cannot hang."""
+    seen = []
+
+    def record(part):
+        seen.append(part)
+        return Fraction(1)
+
+    monkeypatch.setattr(cli, "Fraction", record)
+    return seen
+
+
+@pytest.mark.parametrize(
+    "row", ["1e999999999", "2,1e-999999999", "0e4300", " 1.5E+4_300 ", "1e" + "9" * 5000]
+)
+def test_gen_circulant_refuses_huge_exponents_before_building_them(monkeypatch, row):
+    seen = _recording_fraction(monkeypatch)
+    code, err = _run(["gen", "circulant", row])
+    _assert_one_line_error(code, err)
+    assert "exponent" in err and seen == []
+
+
+def test_gen_circulant_admits_exponents_below_the_digit_cap(monkeypatch):
+    limit = sys.get_int_max_str_digits() or 4300
+    row = f"1e{limit - 1},-2E-{limit - 1},3e0"
+    seen = _recording_fraction(monkeypatch)
+    assert _run(["gen", "circulant", row]) == (0, "")
+    assert seen == row.split(",")
+
+
+def test_gen_circulant_reads_decimal_exponents():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["gen", "circulant", "1e2,5E-1"]) == 0
+    assert matrix_from_dict(json.loads(out.getvalue())).entries == [
+        [100, Fraction(1, 2)], [Fraction(1, 2), 100]
+    ]
+
+
 # --- kron size guard ---------------------------------------------------------
 
 

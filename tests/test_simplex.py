@@ -12,8 +12,10 @@ compares the integer rows exactly.
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from perronkron import cones
 from perronkron.cones import (
     ConeGenerators,
     _membership_system,
@@ -316,3 +318,122 @@ def test_kron_h4_system_with_mixed_denominators_matches_oracle(kind):
     _assert_system_matches_oracle(G, G.vectors[5], Tolerance())
     system, dens, _ = _membership_system(G, G.vectors[5], Tolerance(), kind == "convex")
     assert len(set(dens)) > 2
+
+
+# --- the integer tableau -----------------------------------------------------
+#
+# The simplex pivots one integer array: a row per constraint and the
+# objective, int64 until an update could overflow it and Python ints from
+# then on.  A structural column whose only nonzero is +/- its row's
+# denominator (rationally +/- e_i) is not stored: it is +/- the artificial
+# column of row i in every tableau.  These tests watch each rank-1 update
+# through `integer_product` and compare every coefficient vector with the
+# Fraction oracle.
+
+
+@pytest.fixture
+def updates(monkeypatch):
+    """(dtype, stored width) of the result of each rank-1 update."""
+    seen = []
+    real = cones.integer_product
+
+    def record(*operands, bound):
+        out = real(*operands, bound=bound)
+        seen.append((out.dtype, out.shape[1]))
+        return out
+
+    monkeypatch.setattr(cones, "integer_product", record)
+    return seen
+
+
+def _unit_columns(A):
+    """{column: (row, sign)} of the columns of A that are +/- e_row."""
+    units = {}
+    for j in range(len(A[0])):
+        support = [i for i, row in enumerate(A) if row[j] != 0]
+        if len(support) == 1 and abs(A[support[0]][j]) == 1:
+            units[j] = (support[0], A[support[0]][j])
+    return units
+
+
+def _assert_width(updates, A, folded):
+    """Every update ran on the stored columns: the structural ones that are
+    not folded, one artificial per row, the rhs and the denominator."""
+    m, n = len(A), len(A[0])
+    assert {width for _, width in updates} <= {n - folded + m + 2}
+
+
+def test_tableau_moves_to_python_ints_mid_solve(updates):
+    """Entries near 2**24 start in int64; a few pivots later an update's
+    bound reaches 2**62 and the whole tableau stays on Python ints."""
+    rng = random.Random(62)
+    crossed = 0
+    for _ in range(40):
+        m, n = rng.randint(3, 6), rng.randint(4, 8)
+        A = [[Fraction(rng.randint(-2**24, 2**24)) for _ in range(n)] for _ in range(m)]
+        lam0 = [Fraction(rng.choice([0, 1, 3, 2**10])) for _ in range(n)]
+        b = [sum(a * v for a, v in zip(row, lam0)) for row in A]
+        updates.clear()
+        _assert_matches_oracle(A, b)
+        dtypes = [dtype for dtype, _ in updates]
+        if object in dtypes:
+            first = dtypes.index(object)
+            assert all(dtype == object for dtype in dtypes[first:])
+            crossed += first > 0 and dtypes[0] == np.int64
+    assert crossed >= 30
+
+
+def _unit_column_lp(rng):
+    """A small system with +/-e_i columns appended, some rows holding two,
+    and right-hand sides of either sign, so rows are flipped."""
+    m, n = rng.randint(2, 5), rng.randint(1, 5)
+    entries = [0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-1, 3)]
+    A = [[Fraction(rng.choice(entries)) for _ in range(n)] for _ in range(m)]
+    for _ in range(rng.randint(1, 2 * m)):
+        home, sign = rng.randrange(m), rng.choice([1, -1])
+        for i, row in enumerate(A):
+            row.append(Fraction(sign if i == home else 0))
+    b = [Fraction(rng.choice([1, -1, 2, -3, 0, Fraction(3, 2), Fraction(-1, 2)])) for _ in range(m)]
+    return A, b
+
+
+def test_folded_unit_columns_match_oracle(updates):
+    """Unit columns of both signs on flipped rows are folded into their
+    row's artificial column, and some enter the basis (a positive
+    coefficient is basic at the end)."""
+    rng = random.Random(14)
+    signs_on_flipped = set()
+    entered = 0
+    for _ in range(600):
+        A, b = _unit_column_lp(rng)
+        units = _unit_columns(A)
+        updates.clear()
+        got = _assert_matches_oracle(A, b)
+        _assert_width(updates, A, len(units))
+        for j, (i, sign) in units.items():
+            if b[i] < 0:
+                signs_on_flipped.add(-sign)
+            entered += got is not None and got[j] > 0
+    assert signs_on_flipped == {1, -1}
+    assert entered >= 100
+
+
+def test_single_nonzero_of_twice_the_denominator_stays_stored(updates):
+    """A column whose only nonzero is 2 (twice its row's denominator in the
+    integer system) is not a unit column: folding it would halve its
+    coefficient."""
+    rng = random.Random(2)
+    basic = 0
+    for _ in range(600):
+        A, b = _unit_column_lp(rng)
+        home = rng.randrange(len(A))
+        for i, row in enumerate(A):
+            row.append(Fraction(rng.choice([2, -2]) if i == home else 0))
+        units = _unit_columns(A)
+        assert len(A[0]) - 1 not in units
+        updates.clear()
+        got = _assert_matches_oracle(A, b)
+        _assert_width(updates, A, len(units))
+        basic += got is not None and got[-1] > 0
+    assert basic >= 30
+
