@@ -34,14 +34,13 @@ from .linalg import (
     _INT64_SAFE,
     bareiss_eliminate,
     inf_norm,
-    integer_form,
     integer_product,
     kron,
     kron_factor,
     kron_vec,
     ones_vector,
+    rank_one,
     support,
-    vector_is_nonneg,
 )
 from .perron import factor_cone_members, has_unit_inf_norm, in_spectracone
 
@@ -187,7 +186,7 @@ def _phase_one_feasible(
         bound = 0 if T.dtype == object else (
             int(abs(block).max()) * int(pp.max()) + int(abs(ff).max()) * int(abs(pivot).max())
         )
-        block = integer_product(_rank_one, block, pp, ff, pivot, bound=bound)
+        block = integer_product(rank_one, block, pp[:, None], ff, pivot, bound=bound)
         g = np.gcd.reduce(block, axis=1)
         common = g > 1
         if common.any():
@@ -203,11 +202,6 @@ def _phase_one_feasible(
         if var < n:
             lam[var] = Fraction(int(T[i, rhs]), int(T[i, den]))
     return lam
-
-
-def _rank_one(block, pp, ff, pivot):
-    """Each row of ``block`` times ``pp`` minus ``ff`` times the pivot row."""
-    return block * pp[:, None] - ff[:, None] * pivot
 
 
 def _reduced(row: List[int], d: int) -> Tuple[List[int], int]:
@@ -294,61 +288,49 @@ def kron_generator_set(U: ConeGenerators, V: ConeGenerators) -> ConeGenerators:
     )
 
 
-def _null_space(rows: List[List[Fraction]], n: int) -> List[List[Fraction]]:
-    """Basis of the kernel of the given rational row system in dimension n.
-
-    One vector per free column fc of the reduced system, with entry 1 at fc
-    and 0 at the other free columns.
-    """
-    M = np.zeros((len(rows), n), dtype=object)
-    if rows:
-        M[:] = integer_form(rows).num
-    pivots, det = bareiss_eliminate(M)
-    basis = []
-    for fc in sorted(set(range(n)) - set(pivots)):
-        vec = [Fraction(0)] * n
-        vec[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            vec[pc] = Fraction(-M[i, fc], det)
-        basis.append(vec)
-    return basis
-
-
-def _canonical_ray(entries: List[Fraction]) -> Tuple[Fraction, ...]:
-    """Scale a nonzero vector so its largest magnitude entry is +/-1."""
-    biggest = max(abs(v) for v in entries)
-    return tuple(v / biggest for v in entries)
-
-
 def enumerate_extreme_rays(M: Matrix) -> List[Vector]:
     """Extreme rays of {x | M x >= 0} by tight-constraint enumeration.
 
     Naive double-description cross-check: every (n-1)-subset of distinct
     constraint directions with a one-dimensional kernel whose kernel vector
     (or its negation) satisfies all constraints yields a candidate ray.
-    Rational mode only; intended for small n.
+    The kernel vector is read off one Bareiss elimination of the subset as
+    an integer vector k, with the last pivot (made positive) at the free
+    column; each ray is k / max|k|.  Rational mode only; intended for
+    small n.
     """
     if M.mode != RATIONAL:
         raise ModeMismatchError("extreme-ray enumeration requires rational mode")
     n = M.ncols
-    # Numerator rows over M's one denominator span the same kernels, and a
-    # subset that repeats a direction has rank below n - 1.
-    rows = M.array_form().num[support(M).any(axis=1)]
+    # Numerator rows over M's one denominator span the same kernels and give
+    # the same signs, and a subset that repeats a direction has rank below
+    # n - 1.
+    num = M.array_form().num
+    rows = num[support(M).any(axis=1)]
     rows = rows // np.gcd.reduce(rows, axis=1)[:, None]
-    rows = list(dict.fromkeys(map(tuple, rows.tolist())))
+    rows = np.array(list(dict.fromkeys(map(tuple, rows.tolist()))), dtype=object)
+    rows = rows.reshape(-1, n)
+    num = num.astype(object)
     rays = {}
     for subset in combinations(range(len(rows)), n - 1):
-        kernel = _null_space([rows[i] for i in subset], n)
-        if len(kernel) != 1:
+        A = rows[list(subset)]
+        pivots, det = bareiss_eliminate(A)
+        if len(pivots) != n - 1:
             continue
-        vec = kernel[0]
-        image = M @ Vector(vec, RATIONAL)
+        free = (set(range(n)) - set(pivots)).pop()
+        k = np.empty(n, dtype=object)
+        k[free], k[pivots] = det, -A[:, free]
+        if det < 0:
+            k = -k
+        image = num @ k
         for sign in (1, -1):
-            if vector_is_nonneg(image, Tolerance(), sign):
-                canon = _canonical_ray([sign * v for v in vec])
-                rays[canon] = Vector(list(canon), RATIONAL)
+            if (sign * image >= 0).all():
+                rays[Vector._rational(sign * k, int(abs(k).max()))] = None
                 break
-    return [rays[key] for key in sorted(rays, key=lambda t: [str(v) for v in t])]
+    # Sorted by the str of each entry as a Fraction: "p/q", or "p" when q = 1.
+    return sorted(
+        rays, key=lambda ray: [f"{p}/{q}" if q != 1 else str(p) for p, q in ray.to_pairs()]
+    )
 
 
 @dataclass(frozen=True)

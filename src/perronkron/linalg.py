@@ -27,11 +27,13 @@ nonnegativity) live here and read the state; a complex modulus is
 Exact elimination has one kernel, ``bareiss_eliminate``: fraction-free
 Gauss-Jordan elimination on Python integers, after E. H. Bareiss,
 "Sylvester's identity and multistep integer-preserving Gaussian
-elimination", Math. Comp. 22 (1968).  Every entry it produces is a minor of
-its input, so each division it makes is exact and no gcd is taken.  The
-rational ``inverse`` runs it on ``[N | I]``, where ``N`` is the numerator
-array of the matrix, unless ``N`` has pairwise orthogonal nonzero rows;
-``cones`` runs it for null spaces.  Orthogonal rows are the paper's case:
+elimination", Math. Comp. 22 (1968).  Each pivot is one ``rank_one``
+update of every other row, the update the simplex in ``cones`` pivots its
+tableau by.  Every entry it produces is a minor of its input, so each
+division it makes is exact and no gcd is taken.  The rational ``inverse``
+runs it on ``[N | I]``, where ``N`` is the numerator array of the matrix,
+unless ``N`` has pairwise orthogonal nonzero rows; ``cones`` reads integer
+kernel vectors off it.  Orthogonal rows are the paper's case:
 Sylvester Hadamard matrices have them, and a Kronecker product keeps them
 (C. F. Van Loan, "The ubiquitous Kronecker product", J. Comput. Appl. Math.
 123 (2000)).  When the Gram matrix ``N N^T`` is diagonal, the inverse is
@@ -521,15 +523,22 @@ def diag_kron_identity(x: Vector, y: Vector) -> bool:
     return kron(diag_embed(x), diag_embed(y)) == diag_embed(kron_vec(x, y))
 
 
+def rank_one(block: np.ndarray, p, f: np.ndarray, pivot: np.ndarray) -> np.ndarray:
+    """``p * block - outer(f, pivot)``: each row of ``block`` times ``p`` (a
+    scalar, or a column with one factor per row) minus its entry of ``f``
+    times the pivot row."""
+    return block * p - np.outer(f, pivot)
+
+
 def bareiss_eliminate(M: np.ndarray) -> Tuple[List[int], int]:
     """Fraction-free Gauss-Jordan elimination of an integer array, in place.
 
     ``M`` is a numpy ``object`` array of Python ints.  Columns are taken in
     order; each pivots on its first nonzero entry at or below the rows
     already pivoted, and a column without one is skipped.  A pivot step
-    with pivot p, after the previous pivot ``prev``, replaces every other
-    row by ``(p * row - row[c] * pivot_row) // prev``, one row at a time;
-    the division is exact by Sylvester's identity.
+    with pivot p, after the previous pivot ``prev``, replaces all other
+    rows at once by ``(p * row - row[c] * pivot_row) // prev``; the
+    division is exact by Sylvester's identity.
 
     Returns the pivot columns, in the order of their pivot rows, and the
     last pivot (1 if there is none).  On return the rows holding pivots
@@ -550,15 +559,8 @@ def bareiss_eliminate(M: np.ndarray) -> Tuple[List[int], int]:
         if k != r:
             M[[r, k]] = M[[k, r]]
         p = M[r, c]
-        pivot_row = M[r]
-        for i in range(nrows):
-            if i == r:
-                continue
-            f = M[i, c]
-            if f:
-                M[i] = (p * M[i] - f * pivot_row) // prev
-            elif p != prev:
-                M[i] = p * M[i] // prev
+        others = np.arange(nrows) != r
+        M[others] = rank_one(M[others], p, M[others, c], M[r]) // prev
         pivots.append(c)
         prev = p
     return pivots, prev
@@ -578,7 +580,8 @@ def inverse(S: Matrix) -> Matrix:
     its inverse would change bit for bit.  Pivoting: first nonzero entry in
     rational mode, maximum modulus in complex mode.  Either way a singular
     matrix raises ``SingularMatrixError`` naming the first column without
-    a pivot.
+    a pivot, and in complex mode a pivot whose modulus overflows raises
+    ``ValueError``.
     """
     if not S.is_square:
         raise ValueError("only square matrices are invertible")
@@ -604,9 +607,13 @@ def inverse(S: Matrix) -> Matrix:
         return Matrix._rational(num, abs(det))
     aug = np.hstack([S.array_form(), np.identity(n)]).tolist()
     for col in range(n):
-        pivot_row = max(range(col, n), key=lambda r: abs(aug[r][col]))
-        if abs(aug[pivot_row][col]) == 0:
+        moduli = _moduli(np.array([aug[r][col] for r in range(col, n)]))
+        best = int(moduli.argmax())
+        if moduli[best] == 0:
             raise SingularMatrixError(f"no pivot in column {col + 1}")
+        if moduli[best] == math.inf:
+            raise ValueError(f"the pivot modulus in column {col + 1} exceeds the largest float")
+        pivot_row = col + best
         aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
         piv = aug[col][col]
         aug[col] = [v / piv for v in aug[col]]

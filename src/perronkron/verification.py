@@ -269,7 +269,8 @@ def _check_strict_containment(
 
     h2 = families.hadamard_like(2)
     zp, _ = perron.strict_cone_containment_certificate(h2, h2, tol)
-    a, b, c, d = zp.entries
+    # The common denominator cancels from the sign of the reshape determinant.
+    a, b, c, d = zp.array_form().num.tolist()
     findings["strict_certificate_reshape_det_nonzero"] = (a * d - b * c) != 0
 
 
@@ -372,11 +373,8 @@ def _check_extreme_rays(findings: Dict[str, object]) -> None:
     for depth in (2, 3):
         H = families.hadamard_like(depth)
         rays = cones.enumerate_extreme_rays(perron.cone_inequalities(H))
-        expected = {
-            cones._canonical_ray(list(row.entries)) for row in H.rows()
-        }
-        found = {tuple(r.entries) for r in rays}
-        if found != expected:
+        expected = {row.scale(1 / norm) for row, norm in zip(H.rows(), row_inf_norms(H))}
+        if set(rays) != expected:
             ok = False
     findings["hadamard_extreme_rays_match_rows"] = ok
 

@@ -141,7 +141,8 @@ def test_criterion_8_extreme_ray_cross_check():
         H = families.hadamard_like(depth)
         rays = cones.enumerate_extreme_rays(perron.cone_inequalities(H))
         expected = {
-            cones._canonical_ray(list(row.entries)) for row in H.rows()
+            tuple(v / max(abs(u) for u in row.entries) for v in row.entries)
+            for row in H.rows()
         }
         if {tuple(r.entries) for r in rays} != expected:
             ok = False

@@ -2,8 +2,10 @@
 and of the orthogonal-row closed form of the rational inverse.
 
 The reference oracles below are the Fraction Gauss-Jordan loops that
-``linalg.inverse`` and ``cones._null_space`` used before both moved onto
-``linalg.bareiss_eliminate``.  They live here, not in the library.
+``linalg.inverse`` and the ray scan's null spaces used before both moved
+onto ``linalg.bareiss_eliminate``, and the row-at-a-time Bareiss loop that
+its one rank-1 update per pivot replaced.  They live here, not in the
+library.
 """
 import random
 from fractions import Fraction
@@ -12,7 +14,6 @@ import numpy as np
 import pytest
 
 from perronkron import linalg
-from perronkron.cones import _null_space
 from perronkron.families import hadamard_like
 from perronkron.linalg import (
     Matrix,
@@ -275,26 +276,6 @@ def test_zero_rows_keep_singular_message(monkeypatch):
     assert calls == [(2, 4), (4, 8)]
 
 
-def test_null_space_matches_oracle_on_rectangular_systems():
-    rng = random.Random(11)
-    for _ in range(400):
-        n = rng.randint(1, 7)
-        m = rng.randint(0, 8)
-        rank = rng.randint(0, min(m, n))
-        rows = _random_rows(rng, m, n, rank)
-        got = _null_space(rows, n)
-        assert got == _oracle_null_space(rows, n)
-        assert all(type(v) is Fraction for vec in got for v in vec)
-
-
-def test_null_space_edge_cases():
-    assert _null_space([], 3) == _oracle_null_space([], 3)
-    zero = [[Fraction(0)] * 3] * 2
-    assert _null_space(zero, 3) == _oracle_null_space(zero, 3)
-    big = [[Fraction(2**80 + 1, 3), Fraction(-(2**79)), Fraction(5, 2**81)]]
-    assert _null_space(big, 3) == _oracle_null_space(big, 3)
-
-
 def test_kernel_invariant_each_pivot_row_ends_with_last_pivot():
     rng = random.Random(3)
     for _ in range(150):
@@ -325,3 +306,81 @@ def test_kernel_last_pivot_is_determinant_up_to_sign():
             assert abs(last) == abs(det)
         else:
             assert det == 0
+
+
+# --- the rank-1 step against the row-at-a-time loop -------------------------
+
+
+def _row_loop_eliminate(M, events):
+    """``bareiss_eliminate`` as it ran before its rank-1 step: one row at a
+    time, skipping the rows whose pivot-column entry is zero when p == prev.
+    ``events`` collects which branches ran."""
+    nrows, ncols = M.shape
+    pivots = []
+    prev = 1
+    for c in range(ncols):
+        r = len(pivots)
+        if r == nrows:
+            break
+        nonzero = np.flatnonzero(M[r:, c])
+        if not len(nonzero):
+            events.add("column without pivot")
+            continue
+        k = r + int(nonzero[0])
+        if k != r:
+            M[[r, k]] = M[[k, r]]
+        p = M[r, c]
+        events.add("p == prev" if p == prev else "p != prev")
+        pivot_row = M[r]
+        for i in range(nrows):
+            if i == r:
+                continue
+            f = M[i, c]
+            if f:
+                M[i] = (p * M[i] - f * pivot_row) // prev
+            elif p != prev:
+                M[i] = p * M[i] // prev
+            if not f:
+                events.add("zero in pivot column")
+        pivots.append(c)
+        prev = p
+    return pivots, prev
+
+
+def _integer_systems():
+    """Seeded integer systems: sparse (zeros in pivot columns, steps with
+    p == prev), with zero rows, wide and tall, and with entries near 2**80."""
+    rng = random.Random(15)
+    for trial in range(400):
+        m, n = rng.randint(1, 8), rng.randint(1, 8)
+        if trial % 4 == 0:
+            values = [0, 0, 0, 1, -1]
+        elif trial % 4 == 1:
+            values = list(range(-9, 10))
+        elif trial % 4 == 2:
+            values = [2**80 + d for d in range(-3, 4)] + [-(2**80), 0, 1]
+        else:
+            values = [0, 1, 2, -3, 2**40]
+        rows = [[rng.choice(values) for _ in range(n)] for _ in range(m)]
+        for _ in range(rng.randint(0, 1)):
+            rows[rng.randrange(m)] = [0] * n
+        yield rows
+    for rows in _random_rows(random.Random(16), 6, 9, 3), _random_rows(random.Random(17), 9, 4, 2):
+        yield integer_form(rows).num.tolist()
+    big = 2**80
+    yield [[big + 1, big, 3], [big, big - 1, -5], [7, 0, big]]
+
+
+def test_rank_one_step_matches_the_row_loop():
+    events = set()
+    shapes = set()
+    for rows in _integer_systems():
+        got = np.array(rows, dtype=object)
+        expected = np.array(rows, dtype=object)
+        assert bareiss_eliminate(got) == _row_loop_eliminate(expected, events)
+        assert got.tolist() == expected.tolist()
+        assert all(type(v) is int for v in got.ravel())
+        shapes.add((got.shape[0] > got.shape[1]) - (got.shape[0] < got.shape[1]))
+    assert events == {"column without pivot", "p == prev", "p != prev", "zero in pivot column"}
+    assert shapes == {-1, 0, 1}
+

@@ -7,8 +7,6 @@ import pytest
 from perronkron import cones
 from perronkron.cones import (
     ConeGenerators,
-    _canonical_ray,
-    _null_space,
     coni_coefficients,
     coni_member,
     conv_member,
@@ -30,6 +28,7 @@ from perronkron.linalg import (
     vector_is_nonneg,
 )
 from perronkron.perron import cone_inequalities, in_spectracone
+from test_bareiss import _oracle_null_space, _random_rows
 
 H2 = hadamard_like(2)
 H2_ROWS = ConeGenerators.from_rows(H2)
@@ -171,7 +170,9 @@ def test_extreme_rays_match_hadamard_rows():
     for depth in (2, 3):
         H = hadamard_like(depth)
         rays = enumerate_extreme_rays(cone_inequalities(H))
-        expected = {_canonical_ray(list(r.entries)) for r in H.rows()}
+        expected = {
+            tuple(v / max(abs(u) for u in r.entries) for v in r.entries) for r in H.rows()
+        }
         assert {tuple(r.entries) for r in rays} == expected
 
 
@@ -206,14 +207,15 @@ def scan_every_row_subset(M):
     rows = M.array_form().num[support(M).any(axis=1)].tolist()
     rays = {}
     for subset in combinations(range(len(rows)), n - 1):
-        kernel = _null_space([rows[i] for i in subset], n)
+        kernel = _oracle_null_space([[Fraction(v) for v in rows[i]] for i in subset], n)
         if len(kernel) != 1:
             continue
         vec = kernel[0]
         image = M @ Vector(vec, "rational")
         for sign in (1, -1):
             if vector_is_nonneg(image, Tolerance(), sign):
-                canon = _canonical_ray([sign * v for v in vec])
+                biggest = max(abs(v) for v in vec)
+                canon = tuple(sign * v / biggest for v in vec)
                 rays[canon] = Vector(list(canon), "rational")
                 break
     return [rays[key] for key in sorted(rays, key=lambda t: [str(v) for v in t])]
@@ -245,13 +247,13 @@ def test_ray_scan_over_distinct_directions_matches_the_full_scan():
 
 def test_ray_scan_takes_each_sylvester_direction_once(monkeypatch):
     """cone_inequalities(H3) repeats each of its 4 directions 4 times: the
-    scan solves C(4, 3) = 4 kernels, not C(16, 3) = 560."""
+    scan eliminates C(4, 3) = 4 subsets, not C(16, 3) = 560."""
     kernels = []
-    null_space = cones._null_space
-    monkeypatch.setattr(
-        cones, "_null_space", lambda rows, n: kernels.append(rows) or null_space(rows, n)
-    )
+    eliminate = cones.bareiss_eliminate
     M = cone_inequalities(hadamard_like(3))
+    monkeypatch.setattr(
+        cones, "bareiss_eliminate", lambda A: kernels.append(A.shape) or eliminate(A)
+    )
     assert enumerate_extreme_rays(M) == scan_every_row_subset(M)
     assert len(kernels) == 4
 
@@ -260,3 +262,33 @@ def test_a_scaled_duplicate_row_is_one_direction():
     M = Matrix.rational([[1, 0], [2, 0], [0, 3], [0, 1], [0, 0]])
     assert enumerate_extreme_rays(M) == scan_every_row_subset(M)
     assert [r.entries for r in enumerate_extreme_rays(M)] == [[0, 1], [1, 0]]
+
+
+# --- cones that contain a line ------------------------------------------------
+
+
+def test_a_line_gives_the_kernel_vector_with_a_positive_free_entry():
+    """{x | -x1 >= 0, x2 >= 0} contains the x3 axis.  Its elimination ends on
+    the pivot -1, and the scan still returns e3, not -e3."""
+    M = Matrix.rational([[-1, 0, 0], [0, 1, 0]])
+    assert [r.entries for r in enumerate_extreme_rays(M)] == [[0, 0, 1]]
+
+
+def _matrices_with_a_line():
+    """Seeded m-by-n systems of rank n - 1: each cone contains the line
+    ker M, and every ray the scan finds spans it."""
+    rng = random.Random(15)
+    for _ in range(30):
+        n = rng.randint(2, 5)
+        rows = _random_rows(rng, rng.randint(n - 1, n + 2), n, n - 1, lo=-4, hi=4)
+        if len(_oracle_null_space(rows, n)) == 1:
+            yield Matrix.rational(rows)
+
+
+def test_cones_with_a_line_match_the_full_scan():
+    rays = 0
+    for M in _matrices_with_a_line():
+        got = enumerate_extreme_rays(M)
+        assert got == scan_every_row_subset(M)
+        rays += len(got)
+    assert rays >= 20

@@ -389,6 +389,36 @@ def test_complex_overflow_exits_2_with_one_error_line(tmp_path, argv):
     assert result.stderr == "error: complex entries must be finite, got (inf+0j)\n"
 
 
+_HUGE_MODULUS_DOCS = {
+    # Both parts are finite; the modulus 1.5e308 * sqrt(2) is not.
+    "huge.json": {"mode": "complex", "rows": 2, "cols": 2,
+                  "data": [[1.5e308, 1.5e308], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]},
+    "ones.json": {"mode": "complex", "dim": 2, "data": [[1.0, 0.0], [1.0, 0.0]]},
+}
+
+
+@pytest.mark.parametrize("argv", [
+    ["invert", "huge.json"],
+    ["check-perron", "huge.json"],
+    ["check-ideal", "huge.json"],
+    ["cone-member", "huge.json", "ones.json"],
+    ["tope-member", "huge.json", "ones.json"],
+    ["check-strong", "huge.json", "ones.json"],
+    ["strict-containment", "huge.json", "huge.json"],
+])
+def test_pivot_modulus_overflow_exits_2_with_one_error_line(tmp_path, argv):
+    """A pivot whose modulus exceeds the largest float is refused by the
+    complex inverse, which every one of these verbs runs."""
+    for name, doc in _HUGE_MODULUS_DOCS.items():
+        (tmp_path / name).write_text(json.dumps(doc))
+    argv = [str(tmp_path / a) if a in _HUGE_MODULUS_DOCS else a for a in argv]
+    result = subprocess.run(
+        [sys.executable, "-m", "perronkron.cli", *argv], capture_output=True, text=True
+    )
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr == "error: the pivot modulus in column 1 exceeds the largest float\n"
+
+
 # --- documents nested past the recursion limit --------------------------------
 
 _DEEP = "[" * 1500 + "]" * 1500

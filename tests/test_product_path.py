@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from perronkron import verification
-from perronkron.cones import _canonical_ray, _null_space, enumerate_extreme_rays
+from perronkron.cones import enumerate_extreme_rays
 from perronkron.families import counterexample_factors, dft, hadamard_like
 from perronkron.linalg import (
     Matrix,
@@ -33,6 +33,7 @@ from perronkron.linalg import (
     p_norm,
 )
 from perronkron.perron import cone_inequalities
+from test_bareiss import _oracle_null_space
 
 TOLERANCES = [Tolerance(), Tolerance(0), Tolerance(1e-3)]
 # abs(Z) is 0.3329326245916573 but np.abs(Z) is 0.33293262459165734.
@@ -54,15 +55,15 @@ def extreme_rays_oracle(M):
     rows = [row for row in M.entries if any(v != 0 for v in row)]
     rays = {}
     for subset in combinations(range(len(rows)), n - 1):
-        kernel = _null_space([rows[i] for i in subset], n)
+        kernel = _oracle_null_space([rows[i] for i in subset], n)
         if len(kernel) != 1:
             continue
         vec = kernel[0]
         for candidate in (vec, [-v for v in vec]):
             if all(sum(r * c for r, c in zip(row, candidate)) >= 0 for row in rows):
-                canon = _canonical_ray(candidate)
-                if canon is not None:
-                    rays[canon] = Vector(list(canon), "rational")
+                biggest = max(abs(v) for v in candidate)
+                canon = tuple(v / biggest for v in candidate)
+                rays[canon] = Vector(list(canon), "rational")
                 break
     return [rays[key] for key in sorted(rays, key=lambda t: [str(v) for v in t])]
 
