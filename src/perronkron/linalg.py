@@ -39,9 +39,11 @@ Sylvester Hadamard matrices have them, and a Kronecker product keeps them
 123 (2000)).  When the Gram matrix ``N N^T`` is diagonal, the inverse is
 ``N^T`` with each column divided by its diagonal entry, one exact integer
 product in place of an O(n^3) big-integer elimination.  Complex mode
-inverts by Gauss-Jordan with partial pivoting: a floating-point Gram test
-would route some matrices, the DFT among them, to a closed form that
-rounds differently.
+inverts by Gauss-Jordan with partial pivoting on the ``[S | I]`` complex
+array, one rank-1 update of the rows with a nonzero factor per pivot, so
+it rounds as the entry-by-entry loop over Python ``complex`` does: a
+floating-point Gram test would route some matrices, the DFT among them,
+to a closed form that rounds differently.
 """
 from __future__ import annotations
 
@@ -577,10 +579,16 @@ def inverse(S: Matrix) -> Matrix:
     block.  Both give the same canonical result, and a zero row takes the
     elimination.  Complex mode keeps Gauss-Jordan: a floating-point Gram
     test would send the DFT to a closed form that rounds differently, and
-    its inverse would change bit for bit.  Pivoting: first nonzero entry in
-    rational mode, maximum modulus in complex mode.  Either way a singular
-    matrix raises ``SingularMatrixError`` naming the first column without
-    a pivot, and in complex mode a pivot whose modulus overflows raises
+    its inverse would change bit for bit.  It pivots ``[S | I]`` in place
+    on the first row of largest modulus, divides the pivot row entry by
+    entry with Python's complex quotient (numpy's rounds differently), and
+    subtracts one rank-1 product, built as ``_complex_product`` builds it,
+    from each other row whose factor is nonzero: subtracting 0 * p could
+    turn -0.0 into 0.0.  Rational mode pivots on the first nonzero entry.
+    Either way a singular matrix raises ``SingularMatrixError`` naming the
+    first column without a pivot.  In complex mode a pivot whose modulus
+    overflows, or whose quotient by itself is not finite because Python's
+    quotient overflows inside (as for 8.99e307 + 8.99e307j), raises
     ``ValueError``.
     """
     if not S.is_square:
@@ -605,23 +613,23 @@ def inverse(S: Matrix) -> Matrix:
             raise SingularMatrixError(f"no pivot in column {col + 1}")
         num = aug[:, n:] * (form.den if det > 0 else -form.den)
         return Matrix._rational(num, abs(det))
-    aug = np.hstack([S.array_form(), np.identity(n)]).tolist()
+    aug = np.hstack([S.array_form(), np.identity(n)])
     for col in range(n):
-        moduli = _moduli(np.array([aug[r][col] for r in range(col, n)]))
+        moduli = _moduli(aug[col:, col])
         best = int(moduli.argmax())
         if moduli[best] == 0:
             raise SingularMatrixError(f"no pivot in column {col + 1}")
         if moduli[best] == math.inf:
             raise ValueError(f"the pivot modulus in column {col + 1} exceeds the largest float")
-        pivot_row = col + best
-        aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
-        piv = aug[col][col]
-        aug[col] = [v / piv for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [v - factor * p for v, p in zip(aug[r], aug[col])]
-    return Matrix._complex(np.array([row[n:] for row in aug], dtype=complex))
+        aug[[col, col + best]] = aug[[col + best, col]]
+        row = aug[col].tolist()
+        aug[col] = [v / row[col] for v in row]
+        if not np.isfinite(aug[col, col]):
+            raise ValueError(f"the pivot in column {col + 1} overflows complex division")
+        rows = np.flatnonzero((aug[:, col] != 0) & (np.arange(n) != col))
+        with np.errstate(over="ignore", invalid="ignore"):
+            aug[rows] -= _complex_product(np.outer, aug[rows, col], aug[col])
+    return Matrix._complex(aug[:, n:].copy())
 
 
 def p_norm(x: Vector, p: Union[int, float]) -> float:

@@ -397,7 +397,15 @@ _HUGE_MODULUS_DOCS = {
 }
 
 
-@pytest.mark.parametrize("argv", [
+_HUGE_QUOTIENT_DOCS = {
+    # The modulus 1.27e308 is finite, but Python's quotient of the pivot
+    # by itself overflows inside; 8.98e307 would still divide.
+    "huge.json": {"mode": "complex", "rows": 2, "cols": 2,
+                  "data": [[8.99e307, 8.99e307], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]},
+    "ones.json": _HUGE_MODULUS_DOCS["ones.json"],
+}
+
+_PIVOT_VERBS = [
     ["invert", "huge.json"],
     ["check-perron", "huge.json"],
     ["check-ideal", "huge.json"],
@@ -405,18 +413,29 @@ _HUGE_MODULUS_DOCS = {
     ["tope-member", "huge.json", "ones.json"],
     ["check-strong", "huge.json", "ones.json"],
     ["strict-containment", "huge.json", "huge.json"],
+]
+
+
+@pytest.mark.parametrize("argv, docs, message", [
+    pytest.param(argv, docs, message, id=f"{name}{i}")
+    for name, docs, message in [
+        ("argv", _HUGE_MODULUS_DOCS, "the pivot modulus in column 1 exceeds the largest float"),
+        ("quotient", _HUGE_QUOTIENT_DOCS, "the pivot in column 1 overflows complex division"),
+    ]
+    for i, argv in enumerate(_PIVOT_VERBS)
 ])
-def test_pivot_modulus_overflow_exits_2_with_one_error_line(tmp_path, argv):
-    """A pivot whose modulus exceeds the largest float is refused by the
-    complex inverse, which every one of these verbs runs."""
-    for name, doc in _HUGE_MODULUS_DOCS.items():
+def test_pivot_modulus_overflow_exits_2_with_one_error_line(tmp_path, argv, docs, message):
+    """A pivot whose modulus exceeds the largest float, or whose quotient
+    by itself overflows, is refused by the complex inverse, which every one
+    of these verbs runs."""
+    for name, doc in docs.items():
         (tmp_path / name).write_text(json.dumps(doc))
-    argv = [str(tmp_path / a) if a in _HUGE_MODULUS_DOCS else a for a in argv]
+    argv = [str(tmp_path / a) if a in docs else a for a in argv]
     result = subprocess.run(
         [sys.executable, "-m", "perronkron.cli", *argv], capture_output=True, text=True
     )
     assert (result.returncode, result.stdout) == (2, "")
-    assert result.stderr == "error: the pivot modulus in column 1 exceeds the largest float\n"
+    assert result.stderr == f"error: {message}\n"
 
 
 # --- documents nested past the recursion limit --------------------------------

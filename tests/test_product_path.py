@@ -332,7 +332,7 @@ def test_p_norm_overflows_as_the_entry_loop_does(entry):
     assert _outcome(p_norm, x, 2) == _outcome(p_norm_oracle, x, 2)
 
 
-@pytest.mark.parametrize("n", range(1, 13))
+@pytest.mark.parametrize("n", [*range(1, 13), 16, 32, 64])
 def test_complex_inverse_matches_the_entry_loop_on_dft(n):
     assert_same(inverse(dft(n)), complex_inverse_oracle(dft(n)))
 
@@ -342,13 +342,61 @@ def test_complex_inverse_matches_the_entry_loop_on_dft6_kron_h4():
     assert_same(inverse(K), complex_inverse_oracle(K))
 
 
+# Parts the complex inverse must carry bit for bit: signed zeros, which a
+# row update by a zero factor can flip, and magnitudes near the ends of the
+# float range.
+_SPECIAL_PARTS = [0.0, -0.0, 1.0, -1.0, 0.5, 1e-300, 1e300, 3.0]
+
+
+def _special_part(rng):
+    return rng.choice(_SPECIAL_PARTS) if rng.random() < 0.4 else rng.uniform(-3, 3)
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_complex_inverse_matches_the_entry_loop_on_seeded_matrices(seed):
+    """Seeded invertible matrices, then 100 of orders 1-7, singular ones
+    too, whose parts are often zeros of either sign, +-1, 0.5 or 1e+-300."""
     for S, _ in _seeded_invertible(seed):
         if S.mode == "complex":
             assert_same(inverse(S), complex_inverse_oracle(S))
     singular = Matrix.complex_([[1, 1j], [1j, -1]])
     assert _outcome(inverse, singular) == _outcome(complex_inverse_oracle, singular)
+    rng = random.Random(seed)
+    for _ in range(100):
+        n = rng.randint(1, 7)
+        S = Matrix.complex_(
+            [[complex(_special_part(rng), _special_part(rng)) for _ in range(n)] for _ in range(n)]
+        )
+        got, want = _outcome(inverse, S), _outcome(complex_inverse_oracle, S)
+        if isinstance(want, Matrix):
+            assert_same(got, want)
+        else:
+            assert got == want
+
+
+def test_complex_inverse_of_a_pivot_just_below_quotient_overflow_matches_the_entry_loop():
+    S = Matrix.complex_([[8.98e307 + 8.98e307j]])
+    assert_same(inverse(S), complex_inverse_oracle(S))
+    z = inverse(S).entries[0][0]
+    assert z.real > 0 > z.imag
+
+
+_QUOTIENT = "the pivot in column {} overflows complex division"
+
+
+@pytest.mark.parametrize("rows, message", [
+    ([[8.99e307 + 8.99e307j]], _QUOTIENT.format(1)),
+    ([[1e308 + 1e308j]], _QUOTIENT.format(1)),
+    ([[1, 0], [0, 8.99e307 + 8.99e307j]], _QUOTIENT.format(2)),
+    # The row update overflows to -inf; numpy must not warn about it.
+    ([[1, 1.5e308], [1, -1.5e308]], "the pivot modulus in column 2 exceeds the largest float"),
+], ids=["quotient", "quotient_1e308", "quotient_column_2", "update"])
+def test_complex_inverse_refuses_a_pivot_that_overflows(rows, message):
+    """Python's complex quotient of an 8.99e307 pivot by itself overflows
+    inside, and the entry loop returns a wrong inverse of signed zeros."""
+    with pytest.raises(ValueError) as info:
+        inverse(Matrix.complex_(rows))
+    assert str(info.value) == message
 
 
 def test_the_oracles_see_a_difference():
