@@ -461,18 +461,23 @@ class Matrix(_Array):
     def rows(self) -> List[Vector]:
         return [self.row(i) for i in range(self.nrows)]
 
+    def row_block(self, start: int, stop: int) -> "Matrix":
+        """Rows start to stop - 1 (0-based) as a matrix."""
+        return self._with_values(Matrix, self._values[start:stop])
+
     def transpose(self) -> "Matrix":
         return self._with_values(Matrix, self._values.T)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         return self._sum(other, -1)
 
-    def scale_columns(self, x: Vector) -> "Matrix":
-        """Return self @ diag(x) without building the diagonal matrix."""
+    def scale_columns(self, x: Union[Vector, "Matrix"]) -> "Matrix":
+        """Return self @ diag(x) without building the diagonal matrix; for a
+        matrix x, the blocks self @ diag(x_b), one per row x_b, stacked."""
         _require_same_mode(self, x)
-        if x.dim != self.ncols:
+        if x._values.shape[-1] != self.ncols:
             raise ValueError("dimension mismatch")
-        return _product(Matrix, self, x, np.multiply)
+        return _product(Matrix, x, self, _face_split)
 
     def __matmul__(self, other):
         if not isinstance(other, (Vector, Matrix)):
@@ -511,7 +516,13 @@ def face_split(A: Matrix, B: Matrix) -> Matrix:
     _require_same_mode(A, B)
     if A.ncols != B.ncols:
         raise ValueError("shape mismatch")
-    return _product(Matrix, A, B, lambda a, b: (a[:, None] * b).reshape(-1, a.shape[1]))
+    return _product(Matrix, A, B, _face_split)
+
+
+def _face_split(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Each row of ``a`` (a vector is one row) times each row of ``b``,
+    stacked: row i * len(b) + j is ``a[i] * b[j]``."""
+    return (a[..., None, :] * b).reshape(-1, a.shape[-1])
 
 
 def diag_embed(x: Vector) -> Matrix:
@@ -636,7 +647,7 @@ def p_norm(x: Vector, p: Union[int, float]) -> float:
     """Standard p-norm for p in [1, inf]; the inf-norm is the max modulus."""
     if p == math.inf:
         return float(inf_norm(x))
-    if p < 1:
+    if not p >= 1:
         raise ValueError(f"p-norms require p >= 1, got {p}")
     mags = [abs(v) for v in x.to_complex().array_form().tolist()]
     return sum(m**p for m in mags) ** (1.0 / p)

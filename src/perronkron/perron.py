@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Optional, Tuple
+from typing import NamedTuple, Optional, Tuple, Union
 
 from .indexing import IndexPair, fold_index
 from .linalg import (
@@ -40,33 +40,65 @@ class PerronWitness(NamedTuple):
     sign: int
 
 
+# Most image entries one stacked membership product may hold; it sets how
+# many rows of a matrix x ``in_spectracone`` decides at once.
+_CHUNK_ENTRIES = 2**14
+
+
 def similarity_image(
-    S: Matrix, x: Vector, sinv: Optional[Matrix] = None
+    S: Matrix, x: Union[Vector, Matrix], sinv: Optional[Matrix] = None
 ) -> Matrix:
-    """S diag(x) S^{-1}; pass a precomputed inverse to skip elimination."""
+    """S diag(x) S^{-1}; pass a precomputed inverse to skip elimination.
+
+    For a matrix x, the images of its rows x_b stacked: row block b is
+    S diag(x_b) S^{-1}, and one product forms them all.
+    """
+    sinv = _image_inverse(S, x, sinv)
+    return S.scale_columns(x) @ sinv
+
+
+def _image_inverse(
+    S: Matrix, x: Union[Vector, Matrix], sinv: Optional[Matrix]
+) -> Matrix:
+    """``sinv``, or S^{-1} when it is None, for the image of x under S.
+
+    S must be square and x of S's order before S is inverted; then x and
+    the inverse must be in S's mode, and the inverse of S's shape.
+    """
     if not S.is_square:
         raise ValueError("similarity images require square matrices")
-    if x.dim != S.nrows:
+    if (x.ncols if isinstance(x, Matrix) else x.dim) != S.nrows:
         raise ValueError("dimension mismatch between matrix and spectrum")
     if sinv is None:
         sinv = inverse(S)
     for other in (x, sinv):
         if other.mode != S.mode:
             raise ModeMismatchError(f"mode mismatch: {S.mode} vs {other.mode}")
-    if sinv.nrows != S.ncols:
+    if (sinv.nrows, sinv.ncols) != (S.nrows, S.ncols):
         raise ValueError("dimension mismatch")
-    return S.scale_columns(x) @ sinv
+    return sinv
 
 
 def in_spectracone(
     S: Matrix,
-    x: Vector,
+    x: Union[Vector, Matrix],
     tol: Tolerance = Tolerance(),
     sinv: Optional[Matrix] = None,
 ) -> bool:
     """Whether S diag(x) S^{-1} is entrywise nonnegative (in complex mode,
-    nearly real and nonnegative within ``tol``)."""
-    return is_entrywise_nonneg(similarity_image(S, x, sinv), tol)
+    nearly real and nonnegative within ``tol``).
+
+    For a matrix x, whether every row of x is in the spectracone.  The rows
+    are decided in chunks, each by one stacked ``similarity_image`` of at
+    most ``_CHUNK_ENTRIES`` entries (or of one row), and the first chunk
+    that fails decides.
+    """
+    if isinstance(x, Vector):
+        return is_entrywise_nonneg(similarity_image(S, x, sinv), tol)
+    sinv = _image_inverse(S, x, sinv)
+    chunk = max(1, _CHUNK_ENTRIES // S.nrows**2)
+    blocks = (x.row_block(b, b + chunk) for b in range(0, x.nrows, chunk))
+    return all(is_entrywise_nonneg(similarity_image(S, X, sinv), tol) for X in blocks)
 
 
 def in_spectratope(
@@ -108,15 +140,8 @@ def find_perron_witness(
         raise ValueError("Perron witnesses require square matrices")
     if sinv is None:
         sinv = inverse(S)
-    for k in range(1, S.nrows + 1):
-        column = S.col(k - 1)
-        inv_row = sinv.row(k - 1)
-        for sign in (1, -1):
-            if vector_is_nonneg(column, tol, sign) and vector_is_nonneg(
-                inv_row, tol, sign
-            ):
-                return PerronWitness(k, sign)
-    return None
+    witnesses = (PerronWitness(k, s) for k in range(1, S.nrows + 1) for s in (1, -1))
+    return next((w for w in witnesses if witness_is_valid(S, w, tol, sinv)), None)
 
 
 def witness_is_valid(
@@ -155,10 +180,10 @@ def is_ideal(
     """
     if sinv is None:
         sinv = inverse(S)
-    rows, ones = S.rows(), ones_vector(S.nrows, S.mode)
-    if not any(matrices_close(row, ones, tol) for row in rows):
+    ones = ones_vector(S.nrows, S.mode)
+    if not any(matrices_close(row, ones, tol) for row in S.rows()):
         return False
-    return all(in_spectracone(S, row, tol, sinv) for row in rows)
+    return in_spectracone(S, S, tol, sinv)
 
 
 def verify_strong_certificate(

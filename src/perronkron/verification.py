@@ -24,7 +24,6 @@ from .linalg import (
     diag_kron_identity,
     face_split,
     inverse,
-    is_entrywise_nonneg,
     kron,
     kron_vec,
     p_norm,
@@ -33,10 +32,6 @@ from .linalg import (
 )
 
 DEFAULT_SEED = 42
-
-# Most image entries one stacked membership product may hold; it sets how
-# many Kronecker samples a product decides at once.
-_CHUNK_ENTRIES = 2**14
 
 
 def _catalog() -> List[Tuple[str, Matrix]]:
@@ -119,12 +114,11 @@ def _decide_kron_samples(
     """Whether every z_b is in C(K), and every x_b (x) y_b scaled by the
     infinity norms of x_b and y_b is in the spectratope of K.
 
-    Row block b of ``face_split(Z, K) @ K^{-1}`` is K diag(z_b) K^{-1}, so
-    one exact product decides every z_b.  The scaled product is a positive
-    multiple of z_b, in the cone iff z_b is, and of norm 1 iff
-    ||z_b|| = ||x_b|| ||y_b||.
+    ``perron.in_spectracone`` decides every row z_b of Z in stacked exact
+    products.  The scaled product is a positive multiple of z_b, in the
+    cone iff z_b is, and of norm 1 iff ||z_b|| = ||x_b|| ||y_b||.
     """
-    in_cone = is_entrywise_nonneg(face_split(Z, pd.K) @ pd.K_inv)
+    in_cone = perron.in_spectracone(pd.K, Z, sinv=pd.K_inv)
     unit_norms = all(
         z == x * y for x, y, z in zip(*map(row_inf_norms, (X, Y, Z)))
     )
@@ -201,13 +195,9 @@ def _check_kron_membership(
     for (name_s, name_t), pd in sorted(pairs.items()):
         if pd.K.mode != RATIONAL:
             continue
-        chunk = max(1, _CHUNK_ENTRIES // pd.K.nrows**2)
-        for start in range(0, samples, chunk):
-            cone, tope = _decide_kron_samples(
-                pd, *_kron_samples(rng, pd.S, pd.T, min(chunk, samples - start))
-            )
-            cone_ok = cone_ok and cone
-            tope_ok = tope_ok and tope
+        cone, tope = _decide_kron_samples(pd, *_kron_samples(rng, pd.S, pd.T, samples))
+        cone_ok = cone_ok and cone
+        tope_ok = tope_ok and tope
     findings["kron_cone_membership_sampling"] = cone_ok
     findings["kron_tope_membership_sampling"] = tope_ok
 
@@ -351,13 +341,7 @@ def _check_tope_strictness(findings: Dict[str, object], tol: Tolerance) -> None:
     strong_f3 = perron.verify_strong_certificate(f3, f3.row(1), tol)
     image_h2 = perron.similarity_image(h2, Vector.rational([1, -1]))
     image_f3 = perron.similarity_image(f3, f3.row(1))
-    indices_coprime = (
-        math.gcd(
-            digraph.imprimitivity_index(image_h2, tol),
-            digraph.imprimitivity_index(image_f3, tol),
-        )
-        == 1
-    )
+    indices_coprime = digraph.kron_irreducibility_predicate(image_h2, image_f3, tol)
     _, evidence = cones.spectratope_strictness_certificate(
         h2.to_complex(), f3, tol
     )

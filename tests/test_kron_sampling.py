@@ -1,12 +1,15 @@
 """verify-paper's stacked Kronecker sampling against the per-sample loop.
 
-``verification._check_kron_membership`` decides a chunk of samples x_b (x) y_b
-in one exact product, ``face_split(Z, K) @ K^{-1}``, whose row block b is
-K diag(z_b) K^{-1}.  The oracle here is the loop it replaced: one
-``in_spectracone`` and one ``in_spectratope`` call per sample, each on a
-``kron_vec`` of row combinations built one sample at a time.  Findings, the
-``rng`` state after sampling, each row of Z and each stacked verdict must
-agree with it, also on pairs where most samples are not members.
+``verification._check_kron_membership`` draws a pair's samples x_b (x) y_b
+at once as the rows of Z, and ``perron.in_spectracone`` decides them in
+stacked exact products, ``similarity_image(K, Z_chunk, K^{-1})``, whose row
+block b is K diag(z_b) K^{-1} and which hold at most
+``perron._CHUNK_ENTRIES`` image entries each.  The oracle here is the loop
+it replaced: one ``in_spectracone`` and one ``in_spectratope`` call per
+sample, each on a ``kron_vec`` of row combinations built one sample at a
+time.  Findings, the ``rng`` state after sampling, each row of Z and each
+stacked verdict must agree with it, also on pairs where most samples are
+not members.
 """
 import random
 from fractions import Fraction
@@ -16,11 +19,13 @@ import pytest
 from perronkron import perron, verification
 from perronkron.families import counterexample_factors, hadamard_like
 from perronkron.linalg import (
+    Matrix,
     SingularMatrixError,
     Tolerance,
     Vector,
     inf_norm,
     inverse,
+    is_entrywise_nonneg,
     kron,
     kron_vec,
 )
@@ -180,37 +185,49 @@ def test_chunks_of_any_size_match_the_loop(monkeypatch, chunk, samples, sizes):
     order = 8
     pairs = {key: pd for key, pd in pairs.items()
              if pd.K.nrows == order and pd.K.mode == "rational"}
-    monkeypatch.setattr(verification, "_CHUNK_ENTRIES", chunk * order**2)
-    counts = []
-    sampler = verification._kron_samples
-    monkeypatch.setattr(
-        verification, "_kron_samples",
-        lambda rng, S, T, count: counts.append(count) or sampler(rng, S, T, count),
-    )
+    monkeypatch.setattr(perron, "_CHUNK_ENTRIES", chunk * order**2)
+    # The stacked products of each pair: (rows, verdict) per chunk.
+    chunks = {key: [] for key in pairs}
+    names = {id(pd.K): key for key, pd in pairs.items()}
+    image = perron.similarity_image
+
+    def spy(S, x, sinv=None):
+        result = image(S, x, sinv)
+        if isinstance(x, Matrix):
+            chunks[names[id(S)]].append((x.nrows, is_entrywise_nonneg(result)))
+        return result
+
+    monkeypatch.setattr(perron, "similarity_image", spy)
     old_findings, new_findings, old_state, new_state = _run_both(pairs, 9, samples)
     assert len(pairs) == 5
-    assert counts == sizes * len(pairs)
+    for key, decided in chunks.items():
+        verdicts = [verdict for _, verdict in decided]
+        # Every chunk up to the first that fails, and none after it.
+        stop = verdicts.index(False) + 1 if False in verdicts else len(sizes)
+        assert [rows for rows, _ in decided] == sizes[:stop], key
+    assert sum(len(decided) == len(sizes) for decided in chunks.values()) >= 2
     assert new_findings == old_findings and new_state == old_state
 
 
 def test_no_stacked_product_exceeds_the_entry_budget(monkeypatch):
-    """The suite's own run, spied: every product it stacks stays within
-    ``_CHUNK_ENTRIES`` entries, and each rational pair fills its chunks."""
+    """The suite's own run, spied: every stacked image ``in_spectracone``
+    forms stays within ``perron._CHUNK_ENTRIES`` entries, and each rational
+    pair fills its chunks."""
     shapes = []
-    face_split = verification.face_split
+    image = perron.similarity_image
 
-    def spy(A, B):
-        result = face_split(A, B)
-        shapes.append((any(B is pd.K for pd in rational), result.nrows * result.ncols))
+    def spy(S, x, sinv=None):
+        result = image(S, x, sinv)
+        shapes.append((any(S is pd.K for pd in rational), result.nrows * result.ncols))
         return result
 
-    monkeypatch.setattr(verification, "face_split", spy)
+    monkeypatch.setattr(perron, "similarity_image", spy)
     findings = {}
     pairs = catalog_pairs()
     rational = [pd for pd in pairs.values() if pd.K.mode == "rational"]
     verification._check_kron_membership(findings, pairs, random.Random(1))
     assert list(findings.values()) == [True, True]
-    budget = verification._CHUNK_ENTRIES
+    budget = perron._CHUNK_ENTRIES
     assert max(entries for _, entries in shapes) <= budget
     stacked = sorted(entries for is_image, entries in shapes if is_image)
     assert stacked[-1] == budget  # H4 (x) H4: four samples of order 64

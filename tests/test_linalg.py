@@ -176,6 +176,12 @@ def test_p_norm_rejects_p_below_one():
         p_norm(ones_vector(2), 0.5)
 
 
+def test_p_norm_rejects_nan():
+    for x in (ones_vector(2), Vector.complex_([1, 2j])):
+        with pytest.raises(ValueError, match="p-norms require p >= 1"):
+            p_norm(x, math.nan)
+
+
 def test_p_norm_multiplicative_on_kron():
     rng = random.Random(13)
     for _ in range(50):
