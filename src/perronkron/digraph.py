@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, Sequence, Tuple
 
 from .linalg import Matrix, Tolerance, support
 
@@ -40,30 +40,37 @@ def digraph_of(A: Matrix, tol: Tolerance = Tolerance()) -> Digraph:
     return Digraph(A.nrows, succ)
 
 
-def _reachable_all(succ, n: int, start: int = 0) -> bool:
-    seen = [False] * n
-    seen[start] = True
-    stack = [start]
-    while stack:
-        u = stack.pop()
+def _distances(succ: Sequence[Sequence[int]]) -> List[int]:
+    """Breadth-first distance from vertex 0 to each vertex, -1 where unreached."""
+    dist = [-1] * len(succ)
+    dist[0] = 0
+    queue = deque([0])
+    while queue:
+        u = queue.popleft()
         for v in succ[u]:
-            if not seen[v]:
-                seen[v] = True
-                stack.append(v)
-    return all(seen)
+            if dist[v] < 0:
+                dist[v] = dist[u] + 1
+                queue.append(v)
+    return dist
 
 
-def is_strongly_connected(g: Digraph) -> bool:
+def _is_strongly_connected(g: Digraph, dist: List[int]) -> bool:
+    """Whether g is strongly connected, given ``dist = _distances(g.succ)``:
+    vertex 0 reaches every vertex in g and in its reverse."""
     # Order 1 demands a self-loop: every vertex must lie on a closed walk,
     # so the 1-by-1 zero matrix counts as reducible.
     if g.order == 1:
         return bool(g.succ[0])
-    if not _reachable_all(g.succ, g.order):
+    if -1 in dist:
         return False
     rev: List[List[int]] = [[] for _ in range(g.order)]
     for u, v in g.edges():
         rev[v].append(u)
-    return _reachable_all(rev, g.order)
+    return -1 not in _distances(rev)
+
+
+def is_strongly_connected(g: Digraph) -> bool:
+    return _is_strongly_connected(g, _distances(g.succ))
 
 
 def is_irreducible(A: Matrix, tol: Tolerance = Tolerance()) -> bool:
@@ -74,17 +81,9 @@ def is_irreducible(A: Matrix, tol: Tolerance = Tolerance()) -> bool:
 def imprimitivity_index(A: Matrix, tol: Tolerance = Tolerance()) -> int:
     """gcd of the closed directed walk lengths of an irreducible matrix."""
     g = digraph_of(A, tol)
-    if not is_strongly_connected(g):
+    dist = _distances(g.succ)
+    if not _is_strongly_connected(g, dist):
         raise NotIrreducibleError("imprimitivity index requires irreducibility")
-    dist = [-1] * g.order
-    dist[0] = 0
-    queue = deque([0])
-    while queue:
-        u = queue.popleft()
-        for v in g.succ[u]:
-            if dist[v] < 0:
-                dist[v] = dist[u] + 1
-                queue.append(v)
     period = 0
     for u, v in g.edges():
         period = math.gcd(period, abs(dist[u] + 1 - dist[v]))

@@ -5,6 +5,9 @@ The spectracone of an invertible S is the set of x with S diag(x) S^{-1}
 entrywise nonnegative; the spectratope additionally requires infinity
 norm exactly 1.  S is a Perron similarity when some column of S and the
 matching row of S^{-1} are both nonnegative or both nonpositive.
+Every function that accepts a precomputed inverse ``sinv`` takes it from
+``_checked_inverse``, which inverts S when it is None and otherwise
+refuses one not in S's mode or not of S's shape.
 """
 from __future__ import annotations
 
@@ -12,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional, Tuple, Union
 
+from .digraph import is_irreducible
 from .indexing import IndexPair, fold_index
 from .linalg import (
     RATIONAL,
@@ -60,19 +64,27 @@ def similarity_image(
 def _image_inverse(
     S: Matrix, x: Union[Vector, Matrix], sinv: Optional[Matrix]
 ) -> Matrix:
-    """``sinv``, or S^{-1} when it is None, for the image of x under S.
-
-    S must be square and x of S's order before S is inverted; then x and
-    the inverse must be in S's mode, and the inverse of S's shape.
-    """
+    """``_checked_inverse`` for the image of x under S: S must be square and
+    x of S's order before S is inverted."""
     if not S.is_square:
         raise ValueError("similarity images require square matrices")
     if (x.ncols if isinstance(x, Matrix) else x.dim) != S.nrows:
         raise ValueError("dimension mismatch between matrix and spectrum")
+    return _checked_inverse(S, sinv, x)
+
+
+def _checked_inverse(
+    S: Matrix, sinv: Optional[Matrix], x: Union[Vector, Matrix, None] = None
+) -> Matrix:
+    """``sinv``, or S^{-1} when it is None.
+
+    x (when given) and then the inverse must be in S's mode, and the
+    inverse must have S's shape.
+    """
     if sinv is None:
         sinv = inverse(S)
     for other in (x, sinv):
-        if other.mode != S.mode:
+        if other is not None and other.mode != S.mode:
             raise ModeMismatchError(f"mode mismatch: {S.mode} vs {other.mode}")
     if (sinv.nrows, sinv.ncols) != (S.nrows, S.ncols):
         raise ValueError("dimension mismatch")
@@ -127,9 +139,7 @@ def cone_inequalities(S: Matrix, sinv: Optional[Matrix] = None) -> Matrix:
     """
     if not S.is_square:
         raise ValueError("cone inequalities require square matrices")
-    if sinv is None:
-        sinv = inverse(S)
-    return face_split(S, sinv.transpose())
+    return face_split(S, _checked_inverse(S, sinv).transpose())
 
 
 def find_perron_witness(
@@ -138,8 +148,7 @@ def find_perron_witness(
     """First (ascending k, + before -) column/inverse-row witness, if any."""
     if not S.is_square:
         raise ValueError("Perron witnesses require square matrices")
-    if sinv is None:
-        sinv = inverse(S)
+    sinv = _checked_inverse(S, sinv)
     witnesses = (PerronWitness(k, s) for k in range(1, S.nrows + 1) for s in (1, -1))
     return next((w for w in witnesses if witness_is_valid(S, w, tol, sinv)), None)
 
@@ -152,8 +161,7 @@ def witness_is_valid(
 ) -> bool:
     if not 1 <= w.index <= S.nrows or w.sign not in (1, -1):
         return False
-    if sinv is None:
-        sinv = inverse(S)
+    sinv = _checked_inverse(S, sinv)
     return vector_is_nonneg(S.col(w.index - 1), tol, w.sign) and vector_is_nonneg(
         sinv.row(w.index - 1), tol, w.sign
     )
@@ -178,8 +186,7 @@ def is_ideal(
     Some row of S must equal the all-ones row and every row of S must lie
     in the spectracone of S.
     """
-    if sinv is None:
-        sinv = inverse(S)
+    sinv = _checked_inverse(S, sinv)
     ones = ones_vector(S.nrows, S.mode)
     if not any(matrices_close(row, ones, tol) for row in S.rows()):
         return False
@@ -197,8 +204,6 @@ def verify_strong_certificate(
     A single certifying spectrum x establishes that S is strong; no search
     over spectra is performed.
     """
-    from .digraph import is_irreducible
-
     image = similarity_image(S, x, sinv)
     return is_entrywise_nonneg(image, tol) and is_irreducible(image, tol)
 

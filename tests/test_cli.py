@@ -6,9 +6,10 @@ from pathlib import Path
 
 import pytest
 
+from perronkron import perron
 from perronkron.cli import main
 from perronkron.families import cycle_companion, dft, hadamard_like
-from perronkron.linalg import Vector, kron
+from perronkron.linalg import Matrix, Vector, kron
 from perronkron.serialize import (
     matrix_from_json,
     matrix_to_json,
@@ -225,3 +226,55 @@ def test_installed_entry_point_runs():
     )
     assert result.returncode == 0
     assert matrix_from_json(result.stdout) == cycle_companion(4)
+
+
+# Every verb in the order `perronkron --help` lists it.
+VERBS = [
+    "gen", "kron", "invert", "check-perron", "check-ideal", "check-strong", "cone-member",
+    "tope-member", "coni-member", "conv-member", "irreducible", "period", "kron-irreducible",
+    "strict-containment", "verify-paper",
+]
+
+
+def test_help_lists_every_verb_in_order(capsys):
+    code, stdout, _ = run_cli(["--help"], capsys)
+    assert code == 0
+    assert "{" + ",".join(VERBS) + "}" in stdout
+
+
+@pytest.mark.parametrize("verb, name, findings", [
+    ("check-perron", "find_perron_witness", ["is_perron_similarity", "witness_index",
+                                              "witness_sign"]),
+    ("strict-containment", "strict_cone_containment_certificate",
+     ["member_of_product_cone", "factorization_absent", "certificate", "shift"]),
+])
+def test_check_verbs_call_the_library_through_its_module(
+    tmp_path, capsys, monkeypatch, verb, name, findings
+):
+    """A wrapper patched onto the module after import sees exactly one call."""
+    calls = []
+    original = getattr(perron, name)
+
+    def spy(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(perron, name, spy)
+    h = tmp_path / "h.json"
+    h.write_text(matrix_to_json(hadamard_like(2)))
+    operands = [str(h)] * (2 if verb == "strict-containment" else 1)
+    code, stdout, _ = run_cli([verb] + operands, capsys)
+    assert code == 0
+    assert len(calls) == 1
+    assert list(json.loads(stdout)["findings"]) == findings
+
+
+def test_a_digraph_that_vertex_0_only_reaches_out_of_is_reducible(tmp_path, capsys):
+    """0 -> 1 -> 2 -> 1: vertex 0 reaches every vertex, and no vertex reaches 0."""
+    one_way = tmp_path / "one_way.json"
+    one_way.write_text(matrix_to_json(Matrix.rational([[0, 1, 0], [0, 0, 1], [0, 1, 0]])))
+    code, stdout, _ = run_cli(["irreducible", str(one_way)], capsys)
+    assert code == 1
+    assert json.loads(stdout)["findings"] == {"is_irreducible": False}
+    code, stdout, err = run_cli(["period", str(one_way)], capsys)
+    assert (code, stdout, err) == (2, "", "error: imprimitivity index requires irreducibility\n")

@@ -173,3 +173,14 @@ def test_kron_irreducibility_random_grid():
 def test_kron_irreducibility_rejects_reducible_factor():
     with pytest.raises(NotIrreducibleError):
         kron_irreducibility_predicate(Matrix.identity(2), cycle_companion(3))
+
+
+@pytest.mark.parametrize("entries", [
+    [[0, 1, 0], [0, 0, 1], [0, 1, 0]],  # 0 reaches every vertex; none reaches 0
+    [[1, 0, 0], [1, 0, 0], [0, 1, 0]],  # every vertex reaches 0; 0 reaches none
+], ids=["out-of-0", "into-0"])
+def test_strong_connectivity_needs_both_directions(entries):
+    A = Matrix.rational(entries)
+    assert not is_irreducible(A) and not reachability_oracle(A)
+    with pytest.raises(NotIrreducibleError):
+        imprimitivity_index(A)

@@ -7,6 +7,10 @@ entries, each one stacked ``similarity_image``.  The oracle is one
 checks against the dense reference.  In complex mode a stacked product may
 round a last bit differently from one product per row, so stacked complex
 images are compared by their verdicts only.
+
+Every function that accepts ``sinv`` refuses a wrong one with the error
+``in_spectracone`` raises, and an image that overflows anywhere in a chunk
+is refused (exit 2 from ``check-ideal``) whatever the order of the rows.
 """
 import random
 from fractions import Fraction
@@ -14,6 +18,7 @@ from fractions import Fraction
 import pytest
 
 from perronkron import perron
+from perronkron.cli import main
 from perronkron.families import counterexample_factors, dft, hadamard_like
 from perronkron.linalg import (
     RATIONAL,
@@ -27,6 +32,7 @@ from perronkron.linalg import (
     matrices_close,
     ones_vector,
 )
+from perronkron.serialize import matrix_to_json
 
 TOL = Tolerance(1e-9)
 
@@ -271,3 +277,48 @@ def test_a_matrix_of_points_raises_as_one_point_does(case):
             with pytest.raises(ValueError) as info:
                 call()
             assert (type(info.value), str(info.value)) == (error, message)
+
+
+# Every function that accepts ``sinv``, called on H2 with its witness (1, +1).
+_SINV_TAKERS = {
+    "cone_inequalities": lambda S, sinv: perron.cone_inequalities(S, sinv),
+    "find_perron_witness": lambda S, sinv: perron.find_perron_witness(S, TOL, sinv),
+    "witness_is_valid": lambda S, sinv: perron.witness_is_valid(
+        S, perron.PerronWitness(1, 1), TOL, sinv),
+    "make_totally_nonzero": lambda S, sinv: perron.make_totally_nonzero(
+        S, perron.PerronWitness(1, 1), TOL, sinv),
+    "is_ideal": lambda S, sinv: perron.is_ideal(S, TOL, sinv),
+}
+
+
+@pytest.mark.parametrize("taker", _SINV_TAKERS)
+@pytest.mark.parametrize("case", [case for case in _ERROR_CASES if case.startswith("sinv-")])
+def test_every_given_inverse_is_checked_as_in_spectracone_checks_it(taker, case):
+    """A complex inverse, or one not of S's shape, is refused with the error
+    ``in_spectracone`` raises, never used as if it were S^{-1}."""
+    S, x, sinv, mode, error, message = _ERROR_CASES[case]
+    for call in (lambda: perron.in_spectracone(S, Vector(x, mode), TOL, sinv),
+                 lambda: _SINV_TAKERS[taker](S, sinv)):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert (type(info.value), str(info.value)) == (error, message)
+
+
+# Row 2 is outside C(S) and row 3's image overflows; all three rows share
+# one stacked product, so the overflow decides in either row order.
+_OUTSIDE, _HUGE = [1, -1, 0], [1e300, 2e300, -1e300]
+OVERFLOW = "complex entries must be finite, got (inf+0j)"
+
+
+@pytest.mark.parametrize("rows", [[_OUTSIDE, _HUGE], [_HUGE, _OUTSIDE]],
+                         ids=["outside-first", "overflow-first"])
+def test_an_image_that_overflows_in_a_chunk_is_refused(tmp_path, capsys, rows):
+    S = Matrix.complex_([[1, 1, 1]] + rows)
+    with pytest.raises(ValueError) as info:
+        perron.is_ideal(S, TOL)
+    assert (type(info.value), str(info.value)) == (ValueError, OVERFLOW)
+    path = tmp_path / "s.json"
+    path.write_text(matrix_to_json(S))
+    assert main(["check-ideal", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {OVERFLOW}\n")
