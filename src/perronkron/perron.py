@@ -6,8 +6,9 @@ entrywise nonnegative; the spectratope additionally requires infinity
 norm exactly 1.  S is a Perron similarity when some column of S and the
 matching row of S^{-1} are both nonnegative or both nonpositive.
 Every function that accepts a precomputed inverse ``sinv`` takes it from
-``_checked_inverse``, which inverts S when it is None and otherwise
-refuses one not in S's mode or not of S's shape.
+``_checked_inverse``, which refuses a non-square S, inverts S when
+``sinv`` is None and otherwise refuses one not in S's mode or not of S's
+shape.
 """
 from __future__ import annotations
 
@@ -78,9 +79,12 @@ def _checked_inverse(
 ) -> Matrix:
     """``sinv``, or S^{-1} when it is None.
 
-    x (when given) and then the inverse must be in S's mode, and the
-    inverse must have S's shape.
+    S must be square, whether or not ``sinv`` is given.  x (when given) and
+    then the inverse must be in S's mode, and the inverse must have S's
+    shape.
     """
+    if not S.is_square:
+        raise ValueError("only square matrices are invertible")
     if sinv is None:
         sinv = inverse(S)
     for other in (x, sinv):
@@ -311,7 +315,7 @@ def reproduce_counterexample() -> CounterexampleReport:
     x = Vector.rational([2, 2, -1, -1])
     d = diag_embed(x)
     a = similarity_image(s, x, s_inv)
-    nonscalar = a != Matrix.identity(4).scale(a[0, 0])
+    nonscalar = a != Matrix.identity(4).scale(Fraction(*next(a.to_pairs())))
     return CounterexampleReport(
         s=s,
         s_inv=s_inv,

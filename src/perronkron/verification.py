@@ -5,13 +5,18 @@ strict-containment certificate, the refutation instance, and the
 ideal/strong/irreducibility checks over a fixed catalog of matrices.
 All sampling is seeded; reports are byte-identical across runs with the
 same seed.
+
+A finding decided over many cases holds when ``_holds`` finds every case
+true.  Every case is decided, in order, also after one has failed, so a
+failing case changes no later draw from the seeded generator.
 """
 from __future__ import annotations
 
 import math
 import random
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from itertools import chain
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from . import cones, digraph, families, perron
 from .indexing import IndexPair, division_identity_holds, fold_index, unfold_index
@@ -64,6 +69,12 @@ class _PairData:
         self.S_inv = inverses[S]
         self.T_inv = inverses[T]
         self.K_inv = kron(self.S_inv, self.T_inv)
+
+
+def _holds(verdicts: Iterable[object]) -> bool:
+    """Whether every verdict is true.  Each one is decided, in order, also
+    after one has failed; only the failing ones are kept."""
+    return not [v for v in verdicts if not v]
 
 
 def _random_fraction(rng: random.Random, lo: int = -6, hi: int = 6) -> Fraction:
@@ -126,34 +137,30 @@ def _decide_kron_samples(
 
 
 def _check_index_lemmas(findings: Dict[str, object]) -> None:
-    findings["division_identity_grid"] = all(
+    findings["division_identity_grid"] = _holds(
         division_identity_holds(i, n)
         for n in range(1, 65)
         for i in range(-1000, 1001)
     )
     # Each distinct case of the m, n <= 32 grid once.
-    findings["fold_unfold_roundtrip"] = all(
-        fold_index(unfold_index(i, n), n) == i
-        for n in range(1, 33)
-        for i in range(1, 32 * n + 1)
-    ) and all(
-        unfold_index(fold_index(IndexPair(k, ell), n), n) == (k, ell)
-        for n in range(1, 33)
-        for k in range(1, 33)
-        for ell in range(1, n + 1)
-    )
+    findings["fold_unfold_roundtrip"] = _holds(chain(
+        (
+            fold_index(unfold_index(i, n), n) == i
+            for n in range(1, 33)
+            for i in range(1, 32 * n + 1)
+        ),
+        (
+            unfold_index(fold_index(IndexPair(k, ell), n), n) == (k, ell)
+            for n in range(1, 33)
+            for k in range(1, 33)
+            for ell in range(1, n + 1)
+        ),
+    ))
 
 
-def _check_kron_identities(findings: Dict[str, object], rng: random.Random) -> None:
-    m = n = 16
-    findings["basis_kron_identity"] = all(
-        kron_vec(basis_vector(m, k), basis_vector(n, ell))
-        == basis_vector(m * n, (k - 1) * n + ell)
-        for k in range(1, m + 1)
-        for ell in range(1, n + 1)
-    )
-
-    ok = True
+def _row_extractions(rng: random.Random) -> Iterator[bool]:
+    """Whether each row of a random S (x) T is the kron of the rows of S and
+    T that ``unfold_index`` names."""
     for _ in range(20):
         mm, nn = rng.randint(1, 4), rng.randint(1, 4)
         pp, qq = rng.randint(1, 4), rng.randint(1, 4)
@@ -162,26 +169,37 @@ def _check_kron_identities(findings: Dict[str, object], rng: random.Random) -> N
         K = kron(S, T)
         for i in range(1, mm * pp + 1):
             outer, inner = unfold_index(i, pp)
-            if K.row(i - 1) != kron_vec(S.row(outer - 1), T.row(inner - 1)):
-                ok = False
-    findings["row_extraction_identity"] = ok
+            yield K.row(i - 1) == kron_vec(S.row(outer - 1), T.row(inner - 1))
 
-    findings["diag_kron_identity"] = all(
+
+def _norm_products(rng: random.Random) -> Iterator[bool]:
+    """Whether ||x (x) y||_p = ||x||_p ||y||_p for random complex x, y and
+    p = 1, 2, inf."""
+    for _ in range(50):
+        x = _random_complex_vector(rng, rng.randint(1, 8))
+        y = _random_complex_vector(rng, rng.randint(1, 8))
+        xy = kron_vec(x, y)
+        for p in (1, 2, math.inf):
+            yield abs(p_norm(xy, p) - p_norm(x, p) * p_norm(y, p)) <= 1e-9
+
+
+def _check_kron_identities(findings: Dict[str, object], rng: random.Random) -> None:
+    m = n = 16
+    findings["basis_kron_identity"] = _holds(
+        kron_vec(basis_vector(m, k), basis_vector(n, ell))
+        == basis_vector(m * n, (k - 1) * n + ell)
+        for k in range(1, m + 1)
+        for ell in range(1, n + 1)
+    )
+    findings["row_extraction_identity"] = _holds(_row_extractions(rng))
+    findings["diag_kron_identity"] = _holds(
         diag_kron_identity(
             _random_rational_vector(rng, rng.randint(1, 6)),
             _random_rational_vector(rng, rng.randint(1, 6)),
         )
         for _ in range(100)
     )
-
-    ok = True
-    for _ in range(50):
-        x = _random_complex_vector(rng, rng.randint(1, 8))
-        y = _random_complex_vector(rng, rng.randint(1, 8))
-        for p in (1, 2, math.inf):
-            if abs(p_norm(kron_vec(x, y), p) - p_norm(x, p) * p_norm(y, p)) > 1e-9:
-                ok = False
-    findings["norm_multiplicativity"] = ok
+    findings["norm_multiplicativity"] = _holds(_norm_products(rng))
 
 
 def _check_kron_membership(
@@ -190,16 +208,24 @@ def _check_kron_membership(
     rng: random.Random,
     samples: int = 200,
 ) -> None:
-    cone_ok = True
-    tope_ok = True
-    for (name_s, name_t), pd in sorted(pairs.items()):
-        if pd.K.mode != RATIONAL:
-            continue
-        cone, tope = _decide_kron_samples(pd, *_kron_samples(rng, pd.S, pd.T, samples))
-        cone_ok = cone_ok and cone
-        tope_ok = tope_ok and tope
-    findings["kron_cone_membership_sampling"] = cone_ok
-    findings["kron_tope_membership_sampling"] = tope_ok
+    verdicts = [
+        _decide_kron_samples(pd, *_kron_samples(rng, pd.S, pd.T, samples))
+        for _, pd in sorted(pairs.items())
+        if pd.K.mode == RATIONAL
+    ]
+    findings["kron_cone_membership_sampling"] = _holds(cone for cone, _ in verdicts)
+    findings["kron_tope_membership_sampling"] = _holds(tope for _, tope in verdicts)
+
+
+def _kron_witness_holds(pd: _PairData, tol: Tolerance) -> bool:
+    """Whether both factors have witnesses and their combined index is a
+    witness for the product."""
+    wS = perron.find_perron_witness(pd.S, tol, pd.S_inv)
+    wT = perron.find_perron_witness(pd.T, tol, pd.T_inv)
+    if wS is None or wT is None:
+        return False
+    combined = perron.kron_witness_index(wS, wT, pd.T.nrows)
+    return perron.witness_is_valid(pd.K, combined, tol, pd.K_inv)
 
 
 def _check_kron_witnesses(
@@ -207,17 +233,23 @@ def _check_kron_witnesses(
     pairs: Dict[Tuple[str, str], _PairData],
     tol: Tolerance,
 ) -> None:
-    ok = True
-    for (name_s, name_t), pd in sorted(pairs.items()):
-        wS = perron.find_perron_witness(pd.S, tol, pd.S_inv)
-        wT = perron.find_perron_witness(pd.T, tol, pd.T_inv)
-        if wS is None or wT is None:
-            ok = False
-            continue
-        combined = perron.kron_witness_index(wS, wT, pd.T.nrows)
-        if not perron.witness_is_valid(pd.K, combined, tol, pd.K_inv):
-            ok = False
-    findings["kron_witness_grid"] = ok
+    findings["kron_witness_grid"] = _holds(
+        _kron_witness_holds(pd, tol) for _, pd in sorted(pairs.items())
+    )
+
+
+def _totally_nonzero_member_holds(S: Matrix, S_inv: Matrix, tol: Tolerance) -> bool:
+    """Whether S has a witness and the member built from it is in C(S),
+    totally nonzero and not constant."""
+    w = perron.find_perron_witness(S, tol, S_inv)
+    if w is None:
+        return False
+    x = perron.make_totally_nonzero(S, w, tol, S_inv)
+    return (
+        perron.in_spectracone(S, x, tol, S_inv)
+        and support(x, Tolerance(0)).all()
+        and len(set(x.to_pairs())) > 1
+    )
 
 
 def _check_totally_nonzero(
@@ -226,21 +258,9 @@ def _check_totally_nonzero(
     inverses: Dict[Matrix, Matrix],
     tol: Tolerance,
 ) -> None:
-    ok = True
-    for name, S in catalog:
-        S_inv = inverses[S]
-        w = perron.find_perron_witness(S, tol, S_inv)
-        if w is None:
-            ok = False
-            continue
-        x = perron.make_totally_nonzero(S, w, tol, S_inv)
-        if not (
-            perron.in_spectracone(S, x, tol, S_inv)
-            and support(x, Tolerance(0)).all()
-            and len(set(x)) > 1
-        ):
-            ok = False
-    findings["totally_nonzero_cone_vectors"] = ok
+    findings["totally_nonzero_cone_vectors"] = _holds(
+        _totally_nonzero_member_holds(S, inverses[S], tol) for _, S in catalog
+    )
 
 
 def _check_strict_containment(
@@ -248,14 +268,11 @@ def _check_strict_containment(
     pairs: Dict[Tuple[str, str], _PairData],
     tol: Tolerance,
 ) -> None:
-    ok = True
-    for (name_s, name_t), pd in sorted(pairs.items()):
-        if pd.K.mode != RATIONAL:
-            continue
-        _, evidence = perron.strict_cone_containment_certificate(pd.S, pd.T, tol)
-        if not evidence.holds:
-            ok = False
-    findings["strict_cone_containment_certificates"] = ok
+    findings["strict_cone_containment_certificates"] = _holds(
+        perron.strict_cone_containment_certificate(pd.S, pd.T, tol)[1].holds
+        for _, pd in sorted(pairs.items())
+        if pd.K.mode == RATIONAL
+    )
 
     h2 = families.hadamard_like(2)
     zp, _ = perron.strict_cone_containment_certificate(h2, h2, tol)
@@ -295,72 +312,77 @@ def _check_ideal(
     pairs: Dict[Tuple[str, str], _PairData],
     tol: Tolerance,
 ) -> None:
-    findings["hadamard_ideal"] = all(
+    findings["hadamard_ideal"] = _holds(
         perron.is_ideal(families.hadamard_like(n), tol) for n in (2, 3, 4, 5)
     )
-    findings["dft_ideal"] = all(
+    findings["dft_ideal"] = _holds(
         perron.is_ideal(families.dft(n), tol) for n in range(2, 9)
     )
-    findings["ideal_closed_under_kron"] = all(
+    findings["ideal_closed_under_kron"] = _holds(
         perron.is_ideal(pd.K, tol, pd.K_inv) for _, pd in sorted(pairs.items())
     )
 
 
+def _extremal_row_image_holds(n: int, k: int, tol: Tolerance, F_inv: Matrix) -> bool:
+    """Whether row k of the order-n DFT has its extremal image."""
+    try:
+        families.extremal_row_image(n, k, tol, F_inv)
+    except families.VerificationFailedError:
+        return False
+    return True
+
+
 def _check_digraphs(findings: Dict[str, object], tol: Tolerance) -> None:
-    findings["cycle_imprimitivity_indices"] = all(
+    findings["cycle_imprimitivity_indices"] = _holds(
         digraph.imprimitivity_index(families.cycle_companion(n), tol) == n
         for n in range(2, 11)
     )
-    ok = True
-    for m in range(1, 9):
-        for n in range(1, 9):
-            cm = families.cycle_companion(m)
-            cn = families.cycle_companion(n)
-            predicted = digraph.kron_irreducibility_predicate(cm, cn, tol)
-            direct = digraph.is_irreducible(kron(cm, cn), tol)
-            if predicted != direct:
-                ok = False
-    findings["kron_irreducibility_grid"] = ok
-
-    ok = True
-    for n in range(1, 9):
-        F_inv = inverse(families.dft(n))
-        for k in range(1, n + 1):
-            try:
-                families.extremal_row_image(n, k, tol, F_inv)
-            except families.VerificationFailedError:
-                ok = False
-    findings["dft_extremal_row_images"] = ok
+    cycles = [families.cycle_companion(n) for n in range(1, 9)]
+    findings["kron_irreducibility_grid"] = _holds(
+        digraph.kron_irreducibility_predicate(cm, cn, tol)
+        == digraph.is_irreducible(kron(cm, cn), tol)
+        for cm in cycles
+        for cn in cycles
+    )
+    dft_inverses = {n: inverse(families.dft(n)) for n in range(1, 9)}
+    findings["dft_extremal_row_images"] = _holds(
+        _extremal_row_image_holds(n, k, tol, F_inv)
+        for n, F_inv in dft_inverses.items()
+        for k in range(1, n + 1)
+    )
 
 
 def _check_tope_strictness(findings: Dict[str, object], tol: Tolerance) -> None:
     h2 = families.hadamard_like(2)
     f3 = families.dft(3)
-    ideal_ok = perron.is_ideal(h2, tol) and perron.is_ideal(f3, tol)
-    strong_h2 = perron.verify_strong_certificate(h2, Vector.rational([1, -1]), tol)
-    strong_f3 = perron.verify_strong_certificate(f3, f3.row(1), tol)
+    findings["tope_strictness_factors_ideal_strong"] = _holds((
+        perron.is_ideal(h2, tol),
+        perron.is_ideal(f3, tol),
+        perron.verify_strong_certificate(h2, Vector.rational([1, -1]), tol),
+        perron.verify_strong_certificate(f3, f3.row(1), tol),
+    ))
     image_h2 = perron.similarity_image(h2, Vector.rational([1, -1]))
     image_f3 = perron.similarity_image(f3, f3.row(1))
     indices_coprime = digraph.kron_irreducibility_predicate(image_h2, image_f3, tol)
     _, evidence = cones.spectratope_strictness_certificate(
         h2.to_complex(), f3, tol
     )
-    findings["tope_strictness_factors_ideal_strong"] = (
-        ideal_ok and strong_h2 and strong_f3
-    )
     findings["tope_strictness_indices_coprime"] = indices_coprime
     findings["tope_strictness_certificate"] = evidence.holds
 
 
+def _rays_are_rows(H: Matrix) -> bool:
+    """Whether the extreme rays of C(H) are the rows of H, scaled to unit
+    infinity norm."""
+    rays = cones.enumerate_extreme_rays(perron.cone_inequalities(H))
+    expected = {row.scale(1 / norm) for row, norm in zip(H.rows(), row_inf_norms(H))}
+    return set(rays) == expected
+
+
 def _check_extreme_rays(findings: Dict[str, object]) -> None:
-    ok = True
-    for depth in (2, 3):
-        H = families.hadamard_like(depth)
-        rays = cones.enumerate_extreme_rays(perron.cone_inequalities(H))
-        expected = {row.scale(1 / norm) for row, norm in zip(H.rows(), row_inf_norms(H))}
-        if set(rays) != expected:
-            ok = False
-    findings["hadamard_extreme_rays_match_rows"] = ok
+    findings["hadamard_extreme_rays_match_rows"] = _holds(
+        _rays_are_rows(families.hadamard_like(depth)) for depth in (2, 3)
+    )
 
 
 def report(

@@ -9,8 +9,9 @@ round a last bit differently from one product per row, so stacked complex
 images are compared by their verdicts only.
 
 Every function that accepts ``sinv`` refuses a wrong one with the error
-``in_spectracone`` raises, and an image that overflows anywhere in a chunk
-is refused (exit 2 from ``check-ideal``) whatever the order of the rows.
+``in_spectracone`` raises, a given ``sinv`` never hides a non-square S,
+and an image that overflows anywhere in a chunk is refused (exit 2 from
+``check-ideal``) whatever the order of the rows.
 """
 import random
 from fractions import Fraction
@@ -302,6 +303,33 @@ def test_every_given_inverse_is_checked_as_in_spectracone_checks_it(taker, case)
         with pytest.raises(ValueError) as info:
             call()
         assert (type(info.value), str(info.value)) == (error, message)
+
+
+_NON_SQUARE = {
+    "3x2": Matrix.rational([[1, 1], [1, -1], [1, 0]]),
+    "2x3": Matrix.rational([[1, 2, 3], [4, 5, 6]]),
+}
+_NON_SQUARE_TAKERS = {
+    name: _SINV_TAKERS[name] for name in ("witness_is_valid", "make_totally_nonzero", "is_ideal")
+}
+_NON_SQUARE_TAKERS["witness_is_valid-3"] = lambda S, sinv: perron.witness_is_valid(
+    S, perron.PerronWitness(3, 1), TOL, sinv)
+
+
+def _outcome(call):
+    try:
+        return ("returns", call())
+    except ValueError as error:
+        return ("raises", type(error), str(error))
+
+
+@pytest.mark.parametrize("taker", _NON_SQUARE_TAKERS)
+@pytest.mark.parametrize("shape", _NON_SQUARE)
+def test_a_given_inverse_never_hides_a_non_square_matrix(taker, shape):
+    """An ``sinv`` of S's shape changes nothing for a non-square S: the
+    function answers or raises as it does when it inverts S itself."""
+    S, call = _NON_SQUARE[shape], _NON_SQUARE_TAKERS[taker]
+    assert _outcome(lambda: call(S, S)) == _outcome(lambda: call(S, None))
 
 
 # Row 2 is outside C(S) and row 3's image overflows; all three rows share
