@@ -13,7 +13,9 @@ bound.  The array is int64 when the bound is below 2**62 and a Python-int
 ``entries`` is a view, nested lists of ``Fraction`` or ``complex`` built on
 first use; an array built from input keeps its coerced input as the view.
 ``from_pairs`` and ``to_pairs`` move entries in and out as pairs of numbers,
-``(p, q)`` or ``(re, im)``, without the view.
+``(p, q)`` or ``(re, im)``, without the view; ``from_pairs`` also takes each
+distinct entry once with one index per entry, as ``distinct_pairs`` gives
+a rational array's entries back.
 Arrays are immutable: callers build a new array instead of mutating one.
 
 Every rational result passes through one lowest-terms constructor, and
@@ -140,7 +142,7 @@ def _cleared(ps: Sequence[int], qs: Sequence[int], shape) -> IntegerForm:
     divides the denominator of some entry as often, and that entry's
     cleared numerator is prime to it.
     """
-    den = math.lcm(*qs)
+    den = math.lcm(*set(qs))
     num = ps if den == 1 else [p * (den // q) for p, q in zip(ps, qs)]
     bound = max(map(abs, num))
     dtype = np.int64 if bound < _INT64_SAFE else object
@@ -178,10 +180,11 @@ def _lowest_terms(num: np.ndarray, den: int) -> IntegerForm:
 def _complex_product(op, a, b) -> np.ndarray:
     """``op(a, b)`` on complex operands, formed from real and imaginary
     parts; each elementwise product rounds as Python's complex product
-    does, and no product reaches complex BLAS."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        real = op(a.real, b.real) - op(a.imag, b.imag)
-        imag = op(a.real, b.imag) + op(a.imag, b.real)
+    does, and no product reaches complex BLAS.  Callers run it under
+    ``np.errstate(over="ignore", invalid="ignore")`` and refuse a result
+    that is not finite."""
+    real = op(a.real, b.real) - op(a.imag, b.imag)
+    imag = op(a.real, b.imag) + op(a.imag, b.real)
     out = real.astype(complex)
     out.imag = imag
     return out
@@ -191,7 +194,9 @@ def _product(cls, a, b, op, terms: int = 1):
     """``op(a, b)`` as a ``cls`` array, for a product ``op`` whose entries
     each sum ``terms`` products of an entry of ``a`` and one of ``b``."""
     if a.mode == COMPLEX:
-        return cls._complex(_complex_product(op, a._state, b._state))
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = _complex_product(op, a._state, b._state)
+        return cls._complex(values)
     s, t = a._state, b._state
     num = integer_product(op, s.num, t.num, bound=s.bound * t.bound * terms)
     return cls._rational(num, s.den * t.den)
@@ -232,32 +237,65 @@ class _Array:
         raise ValueError(f"unknown scalar mode {mode!r}")
 
     @classmethod
-    def from_pairs(cls, pairs: Sequence[Tuple], shape: Tuple[int, ...], mode: str):
-        """The array of ``shape`` whose entries, row-major, are ``pairs``.
+    def from_pairs(
+        cls,
+        pairs: Sequence[Tuple],
+        shape: Tuple[int, ...],
+        mode: str,
+        index: Optional[Iterable[int]] = None,
+    ):
+        """The array of ``shape`` whose entries, row-major, are ``pairs``, or
+        whose entry k is ``pairs[index[k]]`` when ``index`` is given.
 
         In rational mode a pair is ``(p, q)``, ints for the fraction p/q in
         lowest terms with q > 0, and the pairs are cleared to numerators over
-        ``lcm(q)``.  In complex mode a pair is ``(re, im)``, floats that go
+        ``lcm(q)``.  With ``index``, one position per entry and rational mode
+        only, each distinct entry is passed and cleared once, and the
+        numerators are gathered with one numpy indexing; every pair must be
+        some entry's.  In complex mode a pair is ``(re, im)``, floats that go
         straight into the complex array, which must be finite.  No entry is
         coerced on its own.  The caller has checked that ``pairs`` is not
-        empty, that it fills ``shape`` and that ``mode`` is known.
+        empty, that the entries fill ``shape`` and that ``mode`` is known.
         """
         if mode == RATIONAL:
-            ps, qs = [p for p, _ in pairs], [q for _, q in pairs]
-            return cls._of(RATIONAL, _cleared(ps, qs, shape))
+            ps, qs = zip(*pairs)
+            form = _cleared(ps, qs, -1)
+            num = form.num
+            if index is not None:
+                num = num[np.fromiter(index, dtype=np.intp, count=math.prod(shape))]
+            return cls._of(RATIONAL, form._replace(num=num.reshape(shape)))
         return cls._complex(np.array(pairs, dtype=float).view(complex).reshape(shape))
 
     def to_pairs(self) -> Iterator[Tuple]:
         """The entries, row-major, as the pairs ``from_pairs`` takes: each
         rational entry in lowest terms, read off one vectorised gcd of the
         numerators with the denominator; each complex entry as its real and
-        imaginary parts."""
+        imaginary parts.  The encoder takes each distinct rational entry once
+        from ``distinct_pairs`` instead."""
         if self.mode == COMPLEX:
             flat = self._state.ravel()
             return zip(flat.real.tolist(), flat.imag.tolist())
         num, den, bound = self._state
         g = integer_product(np.gcd, num, den, bound=bound)
         return zip((num // g).ravel().tolist(), (den // g).ravel().tolist())
+
+    def distinct_pairs(self) -> Tuple[Iterator[Tuple[int, int]], Optional[List[int]]]:
+        """The ``pairs`` and ``index`` that ``from_pairs`` takes, for a
+        rational array: an iterator over each distinct entry once, as
+        ``(p, q)`` in lowest terms and in ascending order, and a list holding
+        for each entry, row-major, the position of its pair.  When no entry
+        repeats, ``index`` is None and the pairs are the entries, row-major,
+        instead.  One sort of the numerators tells the two cases apart, and
+        one vectorised gcd of the distinct numerators with the denominator
+        reduces them."""
+        num, den, bound = self._state
+        values, index = num.ravel(), None
+        ordered = np.sort(values)
+        if not (ordered[1:] != ordered[:-1]).all():
+            values, index = np.unique(values, return_inverse=True)
+            index = index.tolist()
+        g = integer_product(np.gcd, values, den, bound=bound)
+        return zip((values // g).tolist(), (den // g).tolist()), index
 
     @classmethod
     def _rational(cls, num: np.ndarray, den: int):
@@ -352,7 +390,9 @@ class _Array:
     def scale(self, alpha: ScalarInput):
         a = _coerce(alpha, self.mode)
         if self.mode == COMPLEX:
-            return type(self)._complex(_complex_product(np.multiply, self._state, a))
+            with np.errstate(over="ignore", invalid="ignore"):
+                values = _complex_product(np.multiply, self._state, a)
+            return type(self)._complex(values)
         s = self._state
         num = integer_product(
             np.multiply, s.num, a.numerator, bound=s.bound * abs(a.numerator)
@@ -593,14 +633,15 @@ def inverse(S: Matrix) -> Matrix:
     its inverse would change bit for bit.  It pivots ``[S | I]`` in place
     on the first row of largest modulus, divides the pivot row entry by
     entry with Python's complex quotient (numpy's rounds differently), and
-    subtracts one rank-1 product, built as ``_complex_product`` builds it,
-    from each other row whose factor is nonzero: subtracting 0 * p could
-    turn -0.0 into 0.0.  Rational mode pivots on the first nonzero entry.
-    Either way a singular matrix raises ``SingularMatrixError`` naming the
-    first column without a pivot.  In complex mode a pivot whose modulus
-    overflows, or whose quotient by itself is not finite because Python's
-    quotient overflows inside (as for 8.99e307 + 8.99e307j), raises
-    ``ValueError``.
+    subtracts one rank-1 product, built as ``_complex_product`` builds it by
+    broadcasting the factor column over the pivot row, from each other row
+    whose factor is nonzero: subtracting 0 * p could turn -0.0 into 0.0.
+    The whole elimination runs under one ``np.errstate``.  Rational mode
+    pivots on the first nonzero entry.  Either way a singular matrix raises
+    ``SingularMatrixError`` naming the first column without a pivot.  In
+    complex mode a pivot whose modulus overflows, or whose quotient by
+    itself is not finite because Python's quotient overflows inside (as for
+    8.99e307 + 8.99e307j), raises ``ValueError``.
     """
     if not S.is_square:
         raise ValueError("only square matrices are invertible")
@@ -625,21 +666,24 @@ def inverse(S: Matrix) -> Matrix:
         num = aug[:, n:] * (form.den if det > 0 else -form.den)
         return Matrix._rational(num, abs(det))
     aug = np.hstack([S.array_form(), np.identity(n)])
-    for col in range(n):
-        moduli = _moduli(aug[col:, col])
-        best = int(moduli.argmax())
-        if moduli[best] == 0:
-            raise SingularMatrixError(f"no pivot in column {col + 1}")
-        if moduli[best] == math.inf:
-            raise ValueError(f"the pivot modulus in column {col + 1} exceeds the largest float")
-        aug[[col, col + best]] = aug[[col + best, col]]
-        row = aug[col].tolist()
-        aug[col] = [v / row[col] for v in row]
-        if not np.isfinite(aug[col, col]):
-            raise ValueError(f"the pivot in column {col + 1} overflows complex division")
-        rows = np.flatnonzero((aug[:, col] != 0) & (np.arange(n) != col))
-        with np.errstate(over="ignore", invalid="ignore"):
-            aug[rows] -= _complex_product(np.outer, aug[rows, col], aug[col])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for col in range(n):
+            column = aug[col:, col]
+            moduli = np.hypot(column.real, column.imag)  # as `_moduli` rounds them
+            best = int(moduli.argmax())
+            if moduli[best] == 0:
+                raise SingularMatrixError(f"no pivot in column {col + 1}")
+            if moduli[best] == math.inf:
+                raise ValueError(
+                    f"the pivot modulus in column {col + 1} exceeds the largest float"
+                )
+            aug[[col, col + best]] = aug[[col + best, col]]
+            row = aug[col].tolist()
+            aug[col] = [v / row[col] for v in row]
+            if not np.isfinite(aug[col, col]):
+                raise ValueError(f"the pivot in column {col + 1} overflows complex division")
+            rows = np.flatnonzero((aug[:, col] != 0) & (np.arange(n) != col))
+            aug[rows] -= _complex_product(np.multiply, aug[rows, col][:, None], aug[col])
     return Matrix._complex(aug[:, n:].copy())
 
 

@@ -6,10 +6,16 @@ are ``"p/q"`` strings in lowest terms with positive q, so round trips are
 bit-exact; complex entries are ``[re, im]`` pairs.  Vectors use the same
 entry encoding with ``{"mode", "dim", "data"}``.
 
-Both directions run on the array state.  ``_decode_entry`` validates each
+Both directions run on the array state.  ``_decode_entry`` validates an
 entry and returns its pair of numbers, ``(p, q)`` or ``(re, im)``, and
-``from_pairs`` builds the state from them at once; the encoder reads the
-pairs back from ``to_pairs``.  No entry becomes a ``Fraction``.
+``from_pairs`` builds the state from them at once.  A rational document is
+decoded and encoded one distinct entry at a time: each distinct entry text
+is decoded once, in order of first appearance, and ``from_pairs`` gathers
+the entries from the distinct pairs by one index per entry; the encoder
+formats each distinct pair of ``distinct_pairs`` once.  A Sylvester
+Hadamard matrix of order 1024 is a million entries but two distinct texts.
+Complex entries are decoded and encoded one by one.  No entry becomes a
+``Fraction``.
 """
 from __future__ import annotations
 
@@ -25,9 +31,12 @@ _RATIONAL_ENTRY = re.compile(r"(0|-?[1-9][0-9]*)/([1-9][0-9]*)")
 
 
 def _encode(a) -> list:
-    """The wire entries of a vector or matrix, row-major."""
+    """The wire entries of a vector or matrix, row-major; each distinct
+    rational entry is formatted once."""
     if a.mode == RATIONAL:
-        return [f"{p}/{q}" for p, q in a.to_pairs()]
+        pairs, index = a.distinct_pairs()
+        texts = [f"{p}/{q}" for p, q in pairs]
+        return texts if index is None else [texts[k] for k in index]
     return [[re, im] for re, im in a.to_pairs()]
 
 
@@ -79,9 +88,25 @@ def document_sizes(obj: Dict[str, Any], *keys: str) -> Tuple[int, ...]:
 
 
 def _decode(cls, obj: Dict[str, Any], *keys: str):
+    """The array of a document.  Each distinct rational entry text is decoded
+    once, in order of first appearance, so the first invalid entry in data
+    order still raises first; complex entries are decoded one by one."""
     shape = document_sizes(obj, *keys)
-    mode = obj["mode"]
-    return cls.from_pairs([_decode_entry(v, mode) for v in obj["data"]], shape, mode)
+    mode, data = obj["mode"], obj["data"]
+    if mode == COMPLEX:
+        return cls.from_pairs([_decode_entry(v, mode) for v in data], shape, mode)
+    try:
+        texts = dict.fromkeys(data)
+    except TypeError:
+        # An unhashable entry is never a valid one, so decoding entry by
+        # entry raises at the first invalid entry.
+        texts = data
+    pairs = [_decode_entry(v, mode) for v in texts]
+    index = None
+    if len(pairs) < len(data):
+        position = {text: k for k, text in enumerate(texts)}
+        index = map(position.__getitem__, data)
+    return cls.from_pairs(pairs, shape, mode, index)
 
 
 def matrix_to_dict(A: Matrix) -> Dict[str, Any]:

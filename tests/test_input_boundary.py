@@ -499,7 +499,8 @@ def test_kron_decodes_products_at_the_limit(tmp_path, monkeypatch, left, right):
     calls = _counting_decoder(monkeypatch)
     code, err = _run(["kron", *paths])
     assert (code, err) == (0, "")
-    assert len(calls) == left[0] * left[1] + right[0] * right[1]
+    # One decode per distinct entry text of each operand, however many entries.
+    assert calls == ["1/1", "1/1"]
 
 
 @pytest.mark.parametrize("doc", [

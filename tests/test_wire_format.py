@@ -347,3 +347,142 @@ def test_decode_entry_returns_the_pair():
     assert serialize._decode_entry("-3/7", RATIONAL) == (-3, 7)
     assert serialize._decode_entry([2, -0.0], COMPLEX) == (2.0, -0.0)
     assert math.copysign(1, serialize._decode_entry([2, -0.0], COMPLEX)[1]) == -1
+
+
+# --- repeat-heavy documents: each distinct entry text is decoded once ----------
+# The decoder decodes each distinct rational entry text once and the encoder
+# formats each distinct entry once; these documents repeat a few texts many
+# times, so a lookup that mixed up two texts, or that let a repeat hide the
+# first bad entry, shows against the per-entry oracle.
+
+_AROUND_INT64 = [
+    f"{_BIG - 1}/1", f"-{_BIG}/1", f"{_BIG + 1}/3", f"{2**63}/7", "1/3", f"-{_BIG - 1}/5",
+]
+_ALPHABET = (
+    ["1/1", "-1/2", "2/4", "-0/1", " 1/2", "0/1", "3/2", "-1/1", "1/2"]
+    + _AROUND_INT64
+    + [1, 1.0, True, None, [1, 2], ["1/1"], []]
+)
+
+
+@st.composite
+def _repeat_heavy_documents(draw, kind):
+    """Documents of up to 8x8 (or 64) entries drawn from at most four texts
+    of a small alphabet, usually valid ones."""
+    valid = [t for t in _ALPHABET if isinstance(t, str) and _ORACLE_ENTRY.fullmatch(t)]
+    valid = [t for t in valid if math.gcd(*map(int, t.split("/"))) == 1]
+    letters = draw(st.lists(st.sampled_from(valid), min_size=1, max_size=3))
+    if draw(st.booleans()):
+        letters.append(draw(st.sampled_from(_ALPHABET)))
+    dims = ("rows", "cols") if kind == "matrix" else ("dim",)
+    shape = {key: draw(st.integers(1, 8)) for key in dims}
+    count = math.prod(shape.values())
+    data = draw(st.lists(st.sampled_from(letters), min_size=count, max_size=count))
+    return {"mode": RATIONAL, **shape, "data": data}
+
+
+def _assert_decodes_as_the_oracle(doc, decode, oracle_decode, oracle_encode, encode):
+    expected = _outcome(oracle_decode, doc)
+    assert _outcome(decode, doc) == expected
+    if expected is None:
+        got = decode(doc)
+        _assert_same_state(got, oracle_decode(doc))
+        assert json.dumps(encode(got)) == json.dumps(oracle_encode(got))
+
+
+@_SETTINGS
+@given(_repeat_heavy_documents("matrix"))
+def test_repeat_heavy_matrix_documents_decode_as_the_oracle(doc):
+    _assert_decodes_as_the_oracle(
+        doc, matrix_from_dict, oracle_matrix_from_dict, oracle_matrix_to_dict, matrix_to_dict
+    )
+
+
+@_SETTINGS
+@given(_repeat_heavy_documents("vector"))
+def test_repeat_heavy_vector_documents_decode_as_the_oracle(doc):
+    _assert_decodes_as_the_oracle(
+        doc, vector_from_dict, oracle_vector_from_dict, oracle_vector_to_dict, vector_to_dict
+    )
+
+
+_NOT_P_Q = "rational entries must be 'p/q' strings with q > 0, got "
+
+
+@pytest.mark.parametrize("data, message", [
+    (["1/1"] * 40 + ["2/4"] + ["1/1"] * 10 + ["2/4", "x"],
+     "rational entry '2/4' is not in lowest terms"),
+    (["-1/2", "1/1"] * 20 + [" 1/2", "2/4", " 1/2"], _NOT_P_Q + "' 1/2'"),
+    (["1/1"] * 30 + ["-0/1"] * 3, _NOT_P_Q + "'-0/1'"),
+    # 1, 1.0 and True are equal dict keys; the first of them in data order is named.
+    (["1/1"] * 20 + [True, 1, 1.0], _NOT_P_Q + "True"),
+    (["1/1"] * 20 + [1.0, True], _NOT_P_Q + "1.0"),
+    (["1/1"] * 20 + [None, "2/4"], _NOT_P_Q + "None"),
+    # An unhashable entry is named after the bad texts that come before it.
+    (["1/1"] * 20 + [[1, 2], "x"], _NOT_P_Q + "[1, 2]"),
+    (["1/1"] * 20 + ["2/4", [1, 2]], "rational entry '2/4' is not in lowest terms"),
+])
+def test_a_repeated_document_names_its_first_bad_entry(data, message):
+    doc = {"mode": RATIONAL, "dim": len(data), "data": data}
+    assert _outcome(vector_from_dict, doc) == ("ValueError", message)
+    assert _outcome(oracle_vector_from_dict, doc) == ("ValueError", message)
+
+
+def test_each_distinct_entry_text_is_decoded_once(monkeypatch):
+    calls = []
+    decode = serialize._decode_entry
+    monkeypatch.setattr(
+        serialize, "_decode_entry", lambda raw, mode: calls.append(raw) or decode(raw, mode)
+    )
+    data = ["1/2", "-1/1", "1/2", "0/1", "-1/1", "1/2"] * 6
+    doc = {"mode": RATIONAL, "rows": 6, "cols": 6, "data": data}
+    _assert_same_state(matrix_from_dict(doc), oracle_matrix_from_dict(doc))
+    assert calls == ["1/2", "-1/1", "0/1"]
+
+
+@pytest.mark.parametrize("texts", [_AROUND_INT64, _AROUND_INT64[:2], ["1/3", f"{_BIG - 1}/1"]])
+def test_repeated_numerators_around_int64_keep_the_oracle_dtype(texts):
+    data = [texts[k % len(texts)] for k in range(64)]
+    doc = {"mode": RATIONAL, "rows": 8, "cols": 8, "data": data}
+    A = matrix_from_dict(doc)
+    _assert_same_state(A, oracle_matrix_from_dict(doc))
+    assert json.dumps(matrix_to_dict(A)) == json.dumps(oracle_matrix_to_dict(A))
+
+
+def test_repeated_numerators_cover_both_dtypes():
+    dtypes = set()
+    for texts in (_AROUND_INT64[:1], ["1/3", f"{_BIG - 1}/1"], ["1/1", "-1/2"]):
+        doc = {"mode": RATIONAL, "dim": 8, "data": texts * (8 // len(texts))}
+        dtypes.add(vector_from_dict(doc).array_form().num.dtype)
+    assert dtypes == {np.dtype(np.int64), np.dtype(object)}
+
+
+def test_an_all_distinct_document_decodes_and_encodes_as_the_oracle():
+    rng = random.Random(128)
+    values = set()
+    while len(values) < 128 * 128:
+        values.add(Fraction(rng.randint(-(10**5), 10**5), rng.randint(1, 9)))
+    data = [f"{v.numerator}/{v.denominator}" for v in values]
+    doc = {"mode": RATIONAL, "rows": 128, "cols": 128, "data": data}
+    A = matrix_from_dict(doc)
+    _assert_same_state(A, oracle_matrix_from_dict(doc))
+    assert matrix_to_dict(A)["data"] == data
+    assert json.dumps(matrix_to_dict(A)) == json.dumps(oracle_matrix_to_dict(A))
+
+
+@pytest.mark.parametrize("A", [
+    Matrix.rational([[1, 2], [2, 1]]),
+    Matrix.rational([[Fraction(1, 3), 0], [Fraction(-1, 3), Fraction(1, 3)]]),
+    Matrix.rational([[2**70, -(2**70)], [Fraction(1, 2**64), 2**70]]),
+    Vector.rational([Fraction(5, 7), Fraction(-2, 3), 4]),
+])
+def test_distinct_pairs_give_the_entries_back(A):
+    pairs, index = A.distinct_pairs()
+    pairs = list(pairs)
+    if index is not None:
+        assert [Fraction(*pq) for pq in pairs] == sorted({Fraction(*pq) for pq in pairs})
+    entries = pairs if index is None else [pairs[k] for k in index]
+    assert entries == list(A.to_pairs())
+    assert entries == [(v.numerator, v.denominator) for v in np.ravel(A.entries)]
+    assert type(A).from_pairs(pairs, A.array_form().num.shape, RATIONAL, index) == A
+
