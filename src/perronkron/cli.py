@@ -74,24 +74,11 @@ def _load_vector(path: str) -> Vector:
         return serialize.vector_from_json(_read_text(path))
 
 
-def _jsonable(value):
-    if isinstance(value, Fraction):
-        return f"{value.numerator}/{value.denominator}"
-    if isinstance(value, complex):
-        return [value.real, value.imag]
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
-
-
 def _emit_report(report: Dict[str, object], args) -> int:
     """Write a report built by ``verification.report`` as JSON or text.
 
     Returns the exit status: 0 when the report passes, 1 when it fails.
     """
-    report = _jsonable(report)
     findings = report["findings"]
     if args.format == "json":
         _write_text(args.output, json.dumps(report, indent=2))
@@ -234,7 +221,7 @@ def _containment_findings(
         "member_of_product_cone": evidence.member,
         "factorization_absent": evidence.factorization_absent,
         "certificate": serialize.vector_to_dict(zp),
-        "shift": evidence.shift,
+        "shift": serialize.vector_to_dict(Vector([evidence.shift], zp.mode))["data"][0],
     }
 
 

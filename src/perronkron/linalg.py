@@ -18,7 +18,12 @@ distinct entry once with one index per entry, as ``distinct_pairs`` gives
 a rational array's entries back.
 Arrays are immutable: callers build a new array instead of mutating one.
 
-Every rational result passes through one lowest-terms constructor, and
+Numbers become an array only through ``from_pairs``: ``Vector`` and
+``Matrix`` input, wire documents and the closed-form inverse's column
+scales all take it, and it clears rational pairs with ``_cleared``.
+Computed arrays become one only through ``_rational``, whose lowest-terms
+constructor every rational result passes, or ``_complex``.  ``_cleared``
+and ``_lowest_terms`` alone build an ``IntegerForm``, and
 ``integer_product`` runs each integer operation in int64 or on Python ints.
 Every complex product, matmul too, is formed from real and imaginary parts,
 so it rounds as Python's complex product does; every complex result must be
@@ -128,15 +133,17 @@ _INT64_SAFE = 2**62
 
 def integer_form(rows) -> IntegerForm:
     """Clear the denominators of rows of Fractions."""
-    values = [v for row in rows for v in row]
-    return _cleared(
-        [v.numerator for v in values], [v.denominator for v in values], (len(rows), -1)
-    )
+    return Matrix.rational(rows).array_form()
 
 
-def _cleared(ps: Sequence[int], qs: Sequence[int], shape) -> IntegerForm:
-    """The ``IntegerForm`` of the fractions ``ps[k] / qs[k]``, each in lowest
-    terms with a positive denominator, as numerators over ``lcm(qs)``.
+def _cleared(
+    ps: Sequence[int], qs: Sequence[int], shape, index: Optional[Iterable[int]] = None
+) -> IntegerForm:
+    """The ``IntegerForm`` of ``shape`` whose entries, row-major, are the
+    fractions ``ps[k] / qs[k]``, or whose entry k is the fraction at
+    ``index[k]`` when ``index`` is given, as numerators over ``lcm(qs)``.
+    Each fraction is in lowest terms with a positive denominator, and with
+    ``index`` each is some entry's.
 
     The result is in lowest terms: a prime dividing the common denominator
     divides the denominator of some entry as often, and that entry's
@@ -145,8 +152,10 @@ def _cleared(ps: Sequence[int], qs: Sequence[int], shape) -> IntegerForm:
     den = math.lcm(*set(qs))
     num = ps if den == 1 else [p * (den // q) for p, q in zip(ps, qs)]
     bound = max(map(abs, num))
-    dtype = np.int64 if bound < _INT64_SAFE else object
-    return IntegerForm(np.array(num, dtype=dtype).reshape(shape), den, bound)
+    num = np.array(num, dtype=np.int64 if bound < _INT64_SAFE else object)
+    if index is not None:
+        num = num[np.fromiter(index, dtype=np.intp, count=math.prod(shape))]
+    return IntegerForm(num.reshape(shape), den, bound)
 
 
 def integer_product(op, *operands, bound: int) -> np.ndarray:
@@ -207,16 +216,16 @@ class _Array:
 
     __slots__ = ("mode", "_state", "_entries")
 
-    def _set_input(self, entries: list, mode: str) -> None:
-        """Hold coerced input ``entries`` as the view and derive the state."""
-        self.mode, self._entries = mode, entries
-        if mode == COMPLEX:
-            self._state = np.array(entries, dtype=complex)
-        elif isinstance(self, Matrix):
-            self._state = integer_form(entries)
+    def _set_input(self, entries: list, shape: Tuple[int, ...], mode: str) -> None:
+        """Hold coerced input ``entries`` as the view and derive the state
+        through ``from_pairs``."""
+        rows = [entries] if len(shape) == 1 else entries
+        if mode == RATIONAL:
+            pairs = [v.as_integer_ratio() for row in rows for v in row]
         else:
-            form = integer_form([entries])
-            self._state = form._replace(num=form.num[0])
+            pairs = [(v.real, v.imag) for row in rows for v in row]
+        self.mode, self._entries = mode, entries
+        self._state = self.from_pairs(pairs, shape, mode)._state
 
     @classmethod
     def _of(cls, mode: str, state):
@@ -231,9 +240,9 @@ class _Array:
         if not values.size:
             raise ValueError(cls._empty_error)
         if mode == RATIONAL:
-            return cls._of(RATIONAL, IntegerForm(values, 1, int(abs(values).max())))
+            return cls._rational(values, 1)
         if mode == COMPLEX:
-            return cls._of(COMPLEX, values.astype(complex))
+            return cls._complex(values.astype(complex))
         raise ValueError(f"unknown scalar mode {mode!r}")
 
     @classmethod
@@ -247,10 +256,13 @@ class _Array:
         """The array of ``shape`` whose entries, row-major, are ``pairs``, or
         whose entry k is ``pairs[index[k]]`` when ``index`` is given.
 
-        In rational mode a pair is ``(p, q)``, ints for the fraction p/q in
-        lowest terms with q > 0, and the pairs are cleared to numerators over
-        ``lcm(q)``.  With ``index``, one position per entry and rational mode
-        only, each distinct entry is passed and cleared once, and the
+        This is the one way numbers become an array: ``Vector`` and
+        ``Matrix`` pass their coerced input, the wire decoder each distinct
+        entry once with one index per entry, and the rational ``inverse``
+        its column scales.  In rational mode a pair is ``(p, q)``, ints for
+        the fraction p/q in lowest terms with q > 0, and the pairs are
+        cleared to numerators over ``lcm(q)``.  With ``index``, one position
+        per entry and rational mode only, each pair is cleared once and the
         numerators are gathered with one numpy indexing; every pair must be
         some entry's.  In complex mode a pair is ``(re, im)``, floats that go
         straight into the complex array, which must be finite.  No entry is
@@ -259,11 +271,7 @@ class _Array:
         """
         if mode == RATIONAL:
             ps, qs = zip(*pairs)
-            form = _cleared(ps, qs, -1)
-            num = form.num
-            if index is not None:
-                num = num[np.fromiter(index, dtype=np.intp, count=math.prod(shape))]
-            return cls._of(RATIONAL, form._replace(num=num.reshape(shape)))
+            return cls._of(RATIONAL, _cleared(ps, qs, shape, index))
         return cls._complex(np.array(pairs, dtype=float).view(complex).reshape(shape))
 
     def to_pairs(self) -> Iterator[Tuple]:
@@ -279,23 +287,18 @@ class _Array:
         g = integer_product(np.gcd, num, den, bound=bound)
         return zip((num // g).ravel().tolist(), (den // g).ravel().tolist())
 
-    def distinct_pairs(self) -> Tuple[Iterator[Tuple[int, int]], Optional[List[int]]]:
+    def distinct_pairs(self) -> Tuple[Iterator[Tuple[int, int]], List[int]]:
         """The ``pairs`` and ``index`` that ``from_pairs`` takes, for a
         rational array: an iterator over each distinct entry once, as
         ``(p, q)`` in lowest terms and in ascending order, and a list holding
-        for each entry, row-major, the position of its pair.  When no entry
-        repeats, ``index`` is None and the pairs are the entries, row-major,
-        instead.  One sort of the numerators tells the two cases apart, and
-        one vectorised gcd of the distinct numerators with the denominator
-        reduces them."""
+        for each entry, row-major, the position of its pair.  One
+        ``np.unique`` of the numerators finds both, and one vectorised gcd of
+        the distinct numerators with the denominator reduces them."""
         num, den, bound = self._state
-        values, index = num.ravel(), None
-        ordered = np.sort(values)
-        if not (ordered[1:] != ordered[:-1]).all():
-            values, index = np.unique(values, return_inverse=True)
-            index = index.tolist()
+        values, index = np.unique(num, return_inverse=True)
         g = integer_product(np.gcd, values, den, bound=bound)
-        return zip((values // g).tolist(), (den // g).tolist()), index
+        # numpy 1.24 and 2.x shape the inverse differently.
+        return zip((values // g).tolist(), (den // g).tolist()), index.ravel().tolist()
 
     @classmethod
     def _rational(cls, num: np.ndarray, den: int):
@@ -426,7 +429,7 @@ class Vector(_Array):
         entries = [_coerce(v, mode) for v in entries]
         if not entries:
             raise ValueError(self._empty_error)
-        self._set_input(entries, mode)
+        self._set_input(entries, (len(entries),), mode)
 
     @property
     def dim(self) -> int:
@@ -469,7 +472,7 @@ class Matrix(_Array):
         width = len(entries[0])
         if any(len(row) != width for row in entries):
             raise ValueError("all rows must have equal length")
-        self._set_input(entries, mode)
+        self._set_input(entries, (len(entries), width), mode)
 
     @classmethod
     def identity(cls, n: int, mode: str = RATIONAL) -> "Matrix":
@@ -623,11 +626,12 @@ def inverse(S: Matrix) -> Matrix:
     """Exact inverse in rational mode, Gauss-Jordan inverse in complex mode.
 
     In rational mode S = N / d.  When the Gram matrix G = N N^T is diagonal
-    with no zero on its diagonal g, S^{-1} = d N^T diag(1/g), formed exactly
-    as numerators over lcm(g); G is one integer product, int64 unless it
-    could overflow.  Otherwise ``bareiss_eliminate`` eliminates ``[N | I]``;
-    the left block ends as det * I and S^{-1} is d / det times the right
-    block.  Both give the same canonical result, and a zero row takes the
+    with no zero on its diagonal g, S^{-1} = d N^T diag(1/g): ``N^T`` with
+    its columns scaled by the vector that ``from_pairs`` builds of the
+    pairs d / g_j; G is one integer product, int64 unless it could
+    overflow.  Otherwise ``bareiss_eliminate`` eliminates ``[N | I]``; the
+    left block ends as det * I and S^{-1} is d / det times the right block.
+    Both give the same canonical result, and a zero row takes the
     elimination.  Complex mode keeps Gauss-Jordan: a floating-point Gram
     test would send the DFT to a closed form that rounds differently, and
     its inverse would change bit for bit.  It pivots ``[S | I]`` in place
@@ -651,13 +655,12 @@ def inverse(S: Matrix) -> Matrix:
         gram = integer_product(np.matmul, form.num, form.num.T, bound=n * form.bound**2)
         g = np.diagonal(gram).tolist()
         if all(g) and np.count_nonzero(gram) == n:
-            # S^-1 = d N^T diag(1/g): column j of N^T times d L / g_j, over L = lcm(g).
-            lcm = math.lcm(*g)
-            f = [form.den * (lcm // v) for v in g]
-            top = max(f)
-            f = np.array(f, dtype=np.int64 if top < _INT64_SAFE else object)
-            num = integer_product(np.multiply, form.num.T, f, bound=form.bound * top)
-            return Matrix._rational(num, lcm)
+            # S^-1 = d N^T diag(1/g): column j of N^T times d / g_j, g_j > 0.
+            d = form.den
+            scale = [(d // math.gcd(d, v), v // math.gcd(d, v)) for v in g]
+            return Matrix._rational(form.num.T, 1).scale_columns(
+                Vector.from_pairs(scale, (n,), RATIONAL)
+            )
         aug = np.hstack([form.num, np.identity(n, dtype=int)]).astype(object)
         pivots, det = bareiss_eliminate(aug)
         if pivots[:n] != list(range(n)):
@@ -668,8 +671,7 @@ def inverse(S: Matrix) -> Matrix:
     aug = np.hstack([S.array_form(), np.identity(n)])
     with np.errstate(over="ignore", invalid="ignore"):
         for col in range(n):
-            column = aug[col:, col]
-            moduli = np.hypot(column.real, column.imag)  # as `_moduli` rounds them
+            moduli = _moduli(aug[col:, col])
             best = int(moduli.argmax())
             if moduli[best] == 0:
                 raise SingularMatrixError(f"no pivot in column {col + 1}")

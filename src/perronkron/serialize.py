@@ -9,10 +9,11 @@ entry encoding with ``{"mode", "dim", "data"}``.
 Both directions run on the array state.  ``_decode_entry`` validates an
 entry and returns its pair of numbers, ``(p, q)`` or ``(re, im)``, and
 ``from_pairs`` builds the state from them at once.  A rational document is
-decoded and encoded one distinct entry at a time: each distinct entry text
-is decoded once, in order of first appearance, and ``from_pairs`` gathers
-the entries from the distinct pairs by one index per entry; the encoder
-formats each distinct pair of ``distinct_pairs`` once.  A Sylvester
+decoded and encoded one distinct entry at a time, on one path whether or
+not entries repeat: each distinct entry text is decoded once, in order of
+first appearance, and ``from_pairs`` gathers the entries from the distinct
+pairs by one index per entry; the encoder formats each distinct pair of
+``distinct_pairs`` once and gathers the texts by its index.  A Sylvester
 Hadamard matrix of order 1024 is a million entries but two distinct texts.
 Complex entries are decoded and encoded one by one.  No entry becomes a
 ``Fraction``.
@@ -36,7 +37,7 @@ def _encode(a) -> list:
     if a.mode == RATIONAL:
         pairs, index = a.distinct_pairs()
         texts = [f"{p}/{q}" for p, q in pairs]
-        return texts if index is None else [texts[k] for k in index]
+        return [texts[k] for k in index]
     return [[re, im] for re, im in a.to_pairs()]
 
 
@@ -102,11 +103,8 @@ def _decode(cls, obj: Dict[str, Any], *keys: str):
         # entry raises at the first invalid entry.
         texts = data
     pairs = [_decode_entry(v, mode) for v in texts]
-    index = None
-    if len(pairs) < len(data):
-        position = {text: k for k, text in enumerate(texts)}
-        index = map(position.__getitem__, data)
-    return cls.from_pairs(pairs, shape, mode, index)
+    position = {text: k for k, text in enumerate(texts)}
+    return cls.from_pairs(pairs, shape, mode, map(position.__getitem__, data))
 
 
 def matrix_to_dict(A: Matrix) -> Dict[str, Any]:

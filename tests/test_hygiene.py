@@ -1,7 +1,8 @@
 """Source hygiene: no library module imports a name it never uses, only
 `linalg` and `cones` import numpy, so the array format stays behind `linalg`
-(`cones` hands integer arrays to its Bareiss kernel), and the `entries` view
-is read only by its own members."""
+(`cones` hands integer arrays to its Bareiss kernel), the `entries` view
+is read only by its own members, and an `IntegerForm` is built only by the
+two rational constructors."""
 import ast
 from pathlib import Path
 
@@ -72,25 +73,30 @@ VIEW_READERS = {
 }
 
 
-def _entries_reads(source: str):
-    """(line, innermost enclosing function) of each read of `.entries`."""
-    reads = []
+def _sites(source: str, hit):
+    """(line, innermost enclosing function) of each node that ``hit`` accepts."""
+    sites = []
 
     def visit(node, func):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(child, child.name)
                 continue
-            if (
-                isinstance(child, ast.Attribute)
-                and child.attr == "entries"
-                and isinstance(child.ctx, ast.Load)
-            ):
-                reads.append((child.lineno, func))
+            if hit(child):
+                sites.append((child.lineno, func))
             visit(child, func)
 
     visit(ast.parse(source), None)
-    return reads
+    return sites
+
+
+def _entries_reads(source: str):
+    """(line, innermost enclosing function) of each read of `.entries`."""
+    return _sites(source, lambda node: (
+        isinstance(node, ast.Attribute)
+        and node.attr == "entries"
+        and isinstance(node.ctx, ast.Load)
+    ))
 
 
 @pytest.mark.parametrize(
@@ -109,3 +115,38 @@ def test_the_scan_sees_an_entries_read():
         "class A:\n    def h(self):\n        def k():\n            return self.entries\n"
     )
     assert _entries_reads(source) == [(2, "f"), (9, "k")]
+
+
+# Where a rational state is put together: every other path reaches one of
+# these two, through `from_pairs` (which clears) or `_rational` (which
+# reduces).
+INTEGER_FORM_BUILDERS = {"_cleared", "_lowest_terms"}
+
+
+def _integer_form_calls(source: str):
+    """(line, innermost enclosing function) of each call of `IntegerForm`."""
+    return _sites(source, lambda node: (
+        isinstance(node, ast.Call)
+        and (getattr(node.func, "id", None) == "IntegerForm"
+             or getattr(node.func, "attr", None) == "IntegerForm")
+    ))
+
+
+def test_integer_form_is_built_only_by_the_two_constructors():
+    calls = [
+        (path.name, line, func)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for line, func in _integer_form_calls(path.read_text(encoding="utf-8"))
+        if func not in INTEGER_FORM_BUILDERS
+    ]
+    assert calls == []
+
+
+def test_the_scan_sees_an_integer_form_call():
+    source = (
+        "def _cleared(ps):\n    return IntegerForm(ps, 1, 0)\n"
+        "def f(v):\n    return linalg.IntegerForm(v, 1, 0)\n"
+        "x = IntegerForm\n"
+        "class A:\n    def g(self):\n        return IntegerForm(0, 1, 0)._replace()\n"
+    )
+    assert _integer_form_calls(source) == [(2, "_cleared"), (4, "f"), (8, "g")]

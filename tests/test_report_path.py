@@ -10,7 +10,7 @@ import pytest
 
 from perronkron import cones, digraph, perron
 from perronkron.cli import main
-from perronkron.families import cycle_companion, hadamard_like
+from perronkron.families import cycle_companion, dft, hadamard_like
 from perronkron.linalg import Matrix, Vector
 from perronkron.serialize import matrix_to_json, vector_to_json
 from perronkron.verification import report
@@ -78,6 +78,19 @@ def test_strict_containment_text_renders_non_boolean_findings(files):
         "'data': ['10/1', '7/1', '7/1', '5/1']}\n"
         "  shift                   1/1\n"
     )
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_complex_strict_containment_writes_the_shift_as_a_wire_entry(tmp_path, n):
+    path = tmp_path / f"f{n}.json"
+    path.write_text(matrix_to_json(dft(n)))
+    code, out, err = _run(["strict-containment", str(path), str(path)])
+    assert (code, err) == (0, "")
+    assert '"shift": [\n      1.0,\n      0.0\n    ]' in out
+    assert json.loads(out)["findings"]["shift"] == [1.0, 0.0]
+    code, out, err = _run(["--format", "text", "strict-containment", *[str(path)] * 2])
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == "  shift                   [1.0, 0.0]"
 
 
 @pytest.mark.parametrize("fmt", ["json", "text"])

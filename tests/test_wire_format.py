@@ -486,3 +486,32 @@ def test_distinct_pairs_give_the_entries_back(A):
     assert entries == [(v.numerator, v.denominator) for v in np.ravel(A.entries)]
     assert type(A).from_pairs(pairs, A.array_form().num.shape, RATIONAL, index) == A
 
+
+
+@pytest.mark.parametrize("A", [
+    Matrix.rational([[1, 2], [3, Fraction(1, 2)]]),
+    Vector.rational([Fraction(5, 7), Fraction(-2, 3), 4]),
+    Matrix.rational([[2**70, 1], [Fraction(1, 2**64), -(2**70)]]),
+])
+def test_distinct_pairs_index_every_entry_when_nothing_repeats(A):
+    pairs, index = A.distinct_pairs()
+    assert type(index) is list
+    assert sorted(index) == list(range(A.array_form().num.size))
+    pairs = list(pairs)
+    assert [pairs[k] for k in index] == list(A.to_pairs())
+
+
+def test_an_all_distinct_document_is_gathered_through_the_index(monkeypatch):
+    seen = []
+    original = Matrix.from_pairs.__func__
+
+    def spy(cls, pairs, shape, mode, index=None):
+        seen.append(index is not None)
+        return original(cls, pairs, shape, mode, index)
+
+    monkeypatch.setattr(Matrix, "from_pairs", classmethod(spy))
+    values = random.Random(16).sample(range(-(10**6), 10**6), 16 * 16)
+    doc = {"mode": RATIONAL, "rows": 16, "cols": 16, "data": [f"{p}/1" for p in values]}
+    A = matrix_from_dict(doc)
+    assert seen == [True]
+    _assert_same_state(A, oracle_matrix_from_dict(doc))
