@@ -14,6 +14,14 @@ with its denominator in its last column, by one vectorised rank-1 update
 and one gcd per row: in int64 while no update can overflow it, on Python
 ints after.  A column that is +/- a row's unit vector, every complex slack
 among them, is read off that row's artificial column instead of stored.
+Every entering variable is picked by one Bland scan over the structural
+columns, each read through one column map, and no artificial ever enters:
+once no structural column improves, the artificial sum is at its minimum
+over the structural variables and the basic artificials, which is 0
+exactly when the system is feasible, and at 0 any further pivot would be
+degenerate, so the answer could not change.  The pivot row needs no gcd:
+every row is kept in lowest terms and holds its own denominator at its
+basic column.
 """
 from __future__ import annotations
 
@@ -86,8 +94,13 @@ def _phase_one_feasible(
 
     Row i of [A | b] is ``system[i] / dens[i]``, ints over a positive
     denominator.  Phase-one simplex with artificial variables and Bland's
-    rule (smallest eligible entering index; ties in the ratio test broken
-    by smallest basic variable index).
+    rule: the entering variable is the smallest structural index with a
+    positive reduced cost, and ties in the ratio test go to the smallest
+    basic variable index.  No artificial variable ever enters.  Once no
+    structural column improves, the basis is optimal for the problem over
+    the structural variables and the basic artificials, whose optimum is 0
+    exactly when the system is feasible; at 0 every further pivot would be
+    degenerate, so neither lam nor ``None`` could change.
 
     The tableau is one integer array with a row per constraint and the
     objective last.  Its columns are the stored structural variables, the
@@ -95,9 +108,13 @@ def _phase_one_feasible(
     stands for ``T[r, :-1] / T[r, -1]`` and one rank-1 update pivots every
     row.  A structural column whose only nonzero is +/- the denominator of
     row i is +/- the artificial column of row i in every tableau, so it is
-    not stored; its reduced cost is +/- (objective's artificial entry +
-    objective's denominator).  The array is int64 while ``integer_product``
-    admits the update, and Python ints from then on.
+    not stored.  Every structural column j is read through one map,
+    ``sign[j] * T[:, where[j]]``; for that, the objective row holds at each
+    artificial column the reduced cost of a structural column equal to it.
+    Every row stays in lowest terms: the rank-1 update divides out each
+    updated row's gcd, and the pivot row needs none, because it holds its
+    old denominator at its old basic column.  The array is int64 while
+    ``integer_product`` admits the update, and Python ints from then on.
     """
     m = len(system)
     if not m:
@@ -111,21 +128,24 @@ def _phase_one_feasible(
     home = nonzero.argmax(axis=0)
     value = raw[home, np.arange(n)]
     unit = (nonzero.sum(axis=0) == 1) & (abs(value) == d[home])
-    folded, stored = np.flatnonzero(unit), np.flatnonzero(~unit)
-    fold_row = home[folded]
-    fold_sign = np.where(value[folded] > 0, 1, -1)
+    stored = np.flatnonzero(~unit)
     k = len(stored)
     rhs, den = k + m, k + m + 1
+    # Structural column j is sign[j] * T[:, where[j]]: its stored column, or
+    # the artificial column of the row a folded unit column lives in.
+    where = np.where(unit, k + home, 0)
+    where[stored] = np.arange(k)
+    sign = np.where(unit & (value < 0), -1, 1)
     T = np.zeros((m + 1, k + m + 2), dtype=object)
     T[:m, :k] = raw[:, stored]
     T[np.arange(m), k + np.arange(m)] = d
     T[:m, rhs] = raw[:, n]
     T[:m, den] = d
     # Objective row for minimizing the artificial sum, kept in reduced form:
-    # structural columns start at the column sums, artificial columns at 0.
+    # every column starts at its column sum, so an artificial column holds
+    # 1, the reduced cost of a structural column equal to it (its own is 0).
     obj_den = math.lcm(*dens)
     T[m] = np.array([obj_den // q for q in dens], dtype=object) @ T[:m]
-    T[m, k:rhs] = 0
     T[m, den] = obj_den
     T[m] //= np.gcd.reduce(T[m])
     if abs(T).max() < _INT64_SAFE:
@@ -133,24 +153,11 @@ def _phase_one_feasible(
     basis = list(range(n, n + m))
     while True:
         # Denominators are positive, so each sign is the numerator's.
-        obj = T[m]
-        hit = np.flatnonzero(obj[:k] > 0)
-        entering = int(stored[hit[0]]) if hit.size else n
-        column = T[:, hit[0]] if hit.size else None
-        if folded.size:
-            cost = fold_sign * (obj[k + fold_row] + obj[den])
-            hit = np.flatnonzero(cost > 0)
-            if hit.size and folded[hit[0]] < entering:
-                c = hit[0]
-                entering = int(folded[c])
-                column = fold_sign[c] * T[:, k + fold_row[c]]
-                column[m] = cost[c]
-        if column is None:
-            hit = np.flatnonzero(obj[k:rhs] > 0)
-            if not hit.size:
-                break
-            entering = n + int(hit[0])
-            column = T[:, k + hit[0]]
+        hit = np.flatnonzero(sign * T[m, where] > 0)
+        if not hit.size:
+            break
+        entering = int(hit[0])
+        column = int(sign[entering]) * T[:, where[entering]]
         candidates = np.flatnonzero(column[:m] > 0)
         if not candidates.size:
             # Unbounded artificial objective cannot occur; defensive only.
@@ -170,10 +177,6 @@ def _phase_one_feasible(
                 leaving, best_rhs, best_coeff = i, r, coeff
         p = column[leaving]
         T[leaving, den] = p
-        g = np.gcd.reduce(T[leaving])
-        if g > 1:
-            T[leaving] //= g
-            p //= g
         pivot = T[leaving].copy()
         pivot[den] = 0
         rows = np.flatnonzero(column)
@@ -303,14 +306,14 @@ def enumerate_extreme_rays(M: Matrix) -> List[Vector]:
         raise ModeMismatchError("extreme-ray enumeration requires rational mode")
     n = M.ncols
     # Numerator rows over M's one denominator span the same kernels and give
-    # the same signs, and a subset that repeats a direction has rank below
-    # n - 1.
-    num = M.array_form().num
-    rows = num[support(M).any(axis=1)]
+    # the same signs, a zero row constrains nothing, a positive multiple of
+    # a row gives the same signs again, and a subset that repeats a
+    # direction has rank below n - 1.  So the distinct directions alone
+    # serve both for the subsets and for the sign test.
+    rows = M.array_form().num[support(M).any(axis=1)]
     rows = rows // np.gcd.reduce(rows, axis=1)[:, None]
     rows = np.array(list(dict.fromkeys(map(tuple, rows.tolist()))), dtype=object)
     rows = rows.reshape(-1, n)
-    num = num.astype(object)
     rays = {}
     for subset in combinations(range(len(rows)), n - 1):
         A = rows[list(subset)]
@@ -322,7 +325,7 @@ def enumerate_extreme_rays(M: Matrix) -> List[Vector]:
         k[free], k[pivots] = det, -A[:, free]
         if det < 0:
             k = -k
-        image = num @ k
+        image = rows @ k
         for sign in (1, -1):
             if (sign * image >= 0).all():
                 rays[Vector._rational(sign * k, int(abs(k).max()))] = None

@@ -7,7 +7,7 @@ import pytest
 
 from perronkron.cli import main
 from perronkron.families import dft, hadamard_like
-from perronkron.linalg import Tolerance
+from perronkron.linalg import Matrix, Tolerance
 from perronkron.serialize import matrix_to_json, vector_to_dict
 
 # sha256 of the stdout of `perronkron --seed 42 verify-paper`.
@@ -83,3 +83,48 @@ def test_bad_tol_exits_2_before_any_verb_runs(tmp_path, capsys, tol):
         _assert_one_line_error(code, captured.err)
         assert "tolerance" in captured.err
         assert captured.out == ""
+
+
+def _assert_refused(argv, capsys, message):
+    """The verb exits 2 with one stderr line naming the refusal, and writes
+    nothing to stdout."""
+    code = main(argv)
+    out, err = capsys.readouterr()
+    _assert_one_line_error(code, err)
+    assert message in err
+    assert out == ""
+
+
+@pytest.mark.parametrize(
+    "verb, message",
+    [
+        ("invert", "only square matrices are invertible"),
+        ("check-ideal", "only square matrices are invertible"),
+        ("check-perron", "Perron witnesses require square matrices"),
+    ],
+)
+def test_a_non_square_matrix_is_refused(tmp_path, capsys, verb, message):
+    wide = tmp_path / "wide.json"
+    wide.write_text(matrix_to_json(Matrix.rational([[1, 2, 3], [4, 5, 6]])))
+    _assert_refused([verb, str(wide)], capsys, message)
+
+
+@pytest.mark.parametrize("family, order", [("dft", "0"), ("cycle", "-2")])
+def test_gen_refuses_an_order_below_one(capsys, family, order):
+    _assert_refused(["gen", family, order], capsys, f"order must be positive, got {order}")
+
+
+def test_output_into_a_missing_directory_is_refused(tmp_path, capsys):
+    target = tmp_path / "missing" / "c3.json"
+    _assert_refused(["-o", str(target), "gen", "cycle", "3"], capsys, "cannot write")
+    assert not target.parent.exists()
+
+
+def test_strict_containment_refuses_order_one(tmp_path, capsys):
+    one = tmp_path / "one.json"
+    one.write_text(matrix_to_json(Matrix.rational([[1]])))
+    _assert_refused(
+        ["strict-containment", str(one), str(one)],
+        capsys,
+        "strict containment requires orders at least 2",
+    )

@@ -437,3 +437,85 @@ def test_single_nonzero_of_twice_the_denominator_stays_stored(updates):
         basic += got is not None and got[-1] > 0
     assert basic >= 30
 
+
+
+# --- the entering rule -------------------------------------------------------
+#
+# Every entering variable is the smallest structural index with a positive
+# reduced cost; no artificial variable ever enters.  Once no structural
+# column improves, the artificial sum is at its minimum over the structural
+# variables and the basic artificials, which is 0 exactly when the system
+# is feasible, so the answer is already decided.
+
+
+def _structural_phase_one(A, b, scan_artificials=False):
+    """(lam or None, pivots) of a Fraction phase one under Bland's rule that
+    lets an entering variable be any structural column, and also any
+    artificial one when ``scan_artificials`` is set."""
+    m, n = len(A), len(A[0])
+    flip = [-1 if v < 0 else 1 for v in b]
+    tab = [
+        [s * v for v in row] + [Fraction(int(i == j)) for j in range(m)] + [s * v]
+        for i, (row, v, s) in enumerate(zip(A, b, flip))
+    ]
+    basis = list(range(n, n + m))
+    obj = [sum(col) for col in zip(*tab)]
+    obj[n:n + m] = [Fraction(0)] * m
+    scan = n + m if scan_artificials else n
+    pivots = 0
+    while True:
+        entering = next((j for j in range(scan) if obj[j] > 0), None)
+        if entering is None:
+            break
+        rows = [i for i in range(m) if tab[i][entering] > 0]
+        leaving = min(rows, key=lambda i: (tab[i][-1] / tab[i][entering], basis[i]))
+        pivot = [v / tab[leaving][entering] for v in tab[leaving]]
+        tab = [
+            pivot if i == leaving else [v - row[entering] * p for v, p in zip(row, pivot)]
+            for i, row in enumerate(tab)
+        ]
+        obj = [v - obj[entering] * p for v, p in zip(obj, pivot)]
+        basis[leaving] = entering
+        pivots += 1
+    if obj[-1] != 0:
+        return None, pivots
+    lam = [Fraction(0)] * n
+    for i, var in enumerate(basis):
+        if var < n:
+            lam[var] = tab[i][-1]
+    return lam, pivots
+
+
+def test_no_artificial_enters_on_an_infeasible_dft_point(updates):
+    """The point 3/2 F_1 + 5/2 F_2 - 5 F_3 + ... of the rows of F12 is
+    outside their conical hull.  A phase one that also scans artificial
+    columns lets some re-enter after the structural columns stop
+    improving; the library pivots exactly as often as the structural-only
+    rule and still answers None."""
+    F = dft(12)
+    w = [Fraction(v) for v in "3/2 5/2 -5 5 4 3 4/3 1 5/3 2 3 4/3".split()]
+    x = Vector.complex_(
+        [sum(float(wk) * row[j] for wk, row in zip(w, F.entries)) for j in range(12)]
+    )
+    G = ConeGenerators.from_rows(F)
+    A, b, _ = _oracle_membership_system(G, x, Tolerance(), False)
+    lam, pivots = _structural_phase_one(A, b)
+    every_lam, every_pivots = _structural_phase_one(A, b, scan_artificials=True)
+    assert lam is every_lam is None
+    assert every_pivots > pivots
+    updates.clear()
+    assert _phase_one_feasible(*_membership_system(G, x, Tolerance(), False)[:2]) is None
+    assert len(updates) == pivots
+
+
+def test_pivots_as_often_as_the_structural_rule(updates):
+    """On seeded systems of both kinds, with and without unit columns, the
+    library returns the structural-only rule's lam after as many pivots."""
+    rng = random.Random(23)
+    for make in (_random_lp, _unit_column_lp):
+        for _ in range(300):
+            A, b = make(rng)
+            lam, pivots = _structural_phase_one(A, b)
+            updates.clear()
+            assert _phase_one_feasible(*_integer_system(A, b)) == lam
+            assert len(updates) == pivots
