@@ -45,12 +45,26 @@ Sylvester Hadamard matrices have them, and a Kronecker product keeps them
 (C. F. Van Loan, "The ubiquitous Kronecker product", J. Comput. Appl. Math.
 123 (2000)).  When the Gram matrix ``N N^T`` is diagonal, the inverse is
 ``N^T`` with each column divided by its diagonal entry, one exact integer
-product in place of an O(n^3) big-integer elimination.  Complex mode
+product in place of an O(n^3) big-integer elimination; row 0 is tested
+against every row first, so most other matrices are refused in O(n^2)
+before the full Gram product.  Complex mode
 inverts by Gauss-Jordan with partial pivoting on the ``[S | I]`` complex
 array, one rank-1 update of the rows with a nonzero factor per pivot, so
 it rounds as the entry-by-entry loop over Python ``complex`` does: a
 floating-point Gram test would route some matrices, the DFT among them,
 to a closed form that rounds differently.
+
+The Sylvester Hadamard matrix H_n, n a power of two, is H_1 = [1] and
+H_2n = [[H_n, H_n], [H_n, -H_n]]; with 0-based indices its entry (i, j) is
+(-1)**popcount(i & j), so H_n = H_n^T and H_n^{-1} = H_n / n.  Entry
+(i, j) of H diag(x) H^{-1} is therefore (H x)[i XOR j] / n, and x is in
+the spectracone of H iff H x >= 0 (C. R. Johnson & P. Paparella, "Perron
+spectratopes and the real nonnegative inverse eigenvalue problem", Linear
+Algebra Appl. (2016)).  ``is_sylvester`` recognises H_n exactly and
+``walsh_hadamard`` forms H x for every row x at once by the fast
+Walsh-Hadamard transform, log2(n) butterfly passes of integer adds (M. A.
+Fino & V. R. Algazi, "Unified matrix treatment of the fast Walsh-Hadamard
+transform", IEEE Trans. Comput. C-25 (1976)).
 """
 from __future__ import annotations
 
@@ -579,6 +593,48 @@ def diag_kron_identity(x: Vector, y: Vector) -> bool:
     return kron(diag_embed(x), diag_embed(y)) == diag_embed(kron_vec(x, y))
 
 
+def is_sylvester(S: Matrix) -> bool:
+    """Whether S is exactly the Sylvester Hadamard matrix H_n: rational with
+    the integer form (H_n, 1), n a power of two, and equal to the matrix the
+    recurrence H_2n = [[H_n, H_n], [H_n, -H_n]] builds from H_1 = [1]."""
+    if S.mode != RATIONAL or not S.is_square:
+        return False
+    num, den, bound = S._state
+    n = S.nrows
+    if den != 1 or bound != 1 or n & (n - 1):
+        return False
+    H = np.ones((1, 1), dtype=np.int64)
+    while len(H) < n:
+        H = np.block([[H, H], [H, -H]])
+    return np.array_equal(num, H)
+
+
+def walsh_hadamard(x: Union[Vector, Matrix]) -> Union[Vector, Matrix]:
+    """H_n x for a rational vector x of power-of-two length n, or for a
+    matrix, each row x_b as H_n x_b (H_n is symmetric): exact, by the fast
+    Walsh-Hadamard transform.  No entry of a pass exceeds n times the bound
+    of x, so it runs in int64 when that is below ``_INT64_SAFE`` and on
+    Python ints otherwise."""
+    n = x._values.shape[-1]
+    if x.mode != RATIONAL or n & (n - 1):
+        raise ValueError("the Walsh-Hadamard transform takes rational rows of power-of-two length")
+    num, _, bound = x._state
+    return x._with_values(type(x), integer_product(_butterflies, num, bound=n * bound))
+
+
+def _butterflies(a: np.ndarray) -> np.ndarray:
+    """Each row of ``a`` (a vector is one row) times H_n, n its length: pass
+    h = 1, 2, 4, ... replaces each pair (u, v) of entries h apart, within
+    blocks of 2h, by (u + v, u - v)."""
+    shape, n, h = a.shape, a.shape[-1], 1
+    while h < n:
+        pairs = a.reshape(-1, n // (2 * h), 2, h)
+        u, v = pairs[:, :, 0], pairs[:, :, 1]
+        a = np.stack((u + v, u - v), axis=2)
+        h *= 2
+    return a.reshape(shape)
+
+
 def rank_one(block: np.ndarray, p, f: np.ndarray, pivot: np.ndarray) -> np.ndarray:
     """``p * block - outer(f, pivot)``: each row of ``block`` times ``p`` (a
     scalar, or a column with one factor per row) minus its entry of ``f``
@@ -622,13 +678,32 @@ def bareiss_eliminate(M: np.ndarray) -> Tuple[List[int], int]:
     return pivots, prev
 
 
+def _orthogonal_row_norms(num: np.ndarray, bound: int) -> Optional[List[int]]:
+    """The diagonal of the Gram matrix ``num num^T`` of a square integer
+    array whose entries are at most ``bound`` in magnitude, when the Gram
+    matrix is diagonal with no zero on its diagonal, and None otherwise.
+
+    Row 0 of the Gram matrix comes first, O(n^2): unless its one nonzero
+    entry is its diagonal entry (which is nonzero unless row 0 is zero, and
+    then all of it is), it refuses before the O(n^3) full product."""
+    n = len(num)
+    bound = n * bound**2
+    first = integer_product(np.matmul, num, num[0], bound=bound)
+    if np.count_nonzero(first) != 1:
+        return None
+    gram = integer_product(np.matmul, num, num.T, bound=bound)
+    g = np.diagonal(gram).tolist()
+    return g if all(g) and np.count_nonzero(gram) == n else None
+
+
 def inverse(S: Matrix) -> Matrix:
     """Exact inverse in rational mode, Gauss-Jordan inverse in complex mode.
 
     In rational mode S = N / d.  When the Gram matrix G = N N^T is diagonal
     with no zero on its diagonal g, S^{-1} = d N^T diag(1/g): ``N^T`` with
     its columns scaled by the vector that ``from_pairs`` builds of the
-    pairs d / g_j; G is one integer product, int64 unless it could
+    pairs d / g_j; ``_orthogonal_row_norms`` decides that from row 0 of G
+    and then all of G, each one integer product, int64 unless it could
     overflow.  Otherwise ``bareiss_eliminate`` eliminates ``[N | I]``; the
     left block ends as det * I and S^{-1} is d / det times the right block.
     Both give the same canonical result, and a zero row takes the
@@ -652,9 +727,8 @@ def inverse(S: Matrix) -> Matrix:
     n = S.nrows
     if S.mode == RATIONAL:
         form = S.array_form()
-        gram = integer_product(np.matmul, form.num, form.num.T, bound=n * form.bound**2)
-        g = np.diagonal(gram).tolist()
-        if all(g) and np.count_nonzero(gram) == n:
+        g = _orthogonal_row_norms(form.num, form.bound)
+        if g is not None:
             # S^-1 = d N^T diag(1/g): column j of N^T times d / g_j, g_j > 0.
             d = form.den
             scale = [(d // math.gcd(d, v), v // math.gcd(d, v)) for v in g]
@@ -728,8 +802,9 @@ def support(A: _Array, tol: Tolerance = Tolerance()) -> np.ndarray:
     return _moduli(A._state) > tol.eps
 
 
-def is_entrywise_nonneg(A: Matrix, tol: Tolerance = Tolerance()) -> bool:
-    """Entrywise nonnegativity; complex entries must be (nearly) real."""
+def is_entrywise_nonneg(A: _Array, tol: Tolerance = Tolerance()) -> bool:
+    """Entrywise nonnegativity of a vector or matrix; complex entries must be
+    (nearly) real."""
     return _nonneg(A, tol, 1)
 
 

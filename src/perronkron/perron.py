@@ -29,12 +29,14 @@ from .linalg import (
     inf_norm,
     inverse,
     is_entrywise_nonneg,
+    is_sylvester,
     kron,
     kron_factor,
     kron_vec,
     matrices_close,
     ones_vector,
     vector_is_nonneg,
+    walsh_hadamard,
 )
 
 
@@ -45,8 +47,10 @@ class PerronWitness(NamedTuple):
     sign: int
 
 
-# Most image entries one stacked membership product may hold; it sets how
-# many rows of a matrix x ``in_spectracone`` decides at once.
+# Most image entries one stacked membership product of the dense path may
+# hold; it sets how many rows of a matrix x ``in_spectracone`` decides at
+# once.  The Sylvester path forms no image: for S = H_n its entry (i, j)
+# is (H_n x)[i XOR j] / n.
 _CHUNK_ENTRIES = 2**14
 
 
@@ -104,14 +108,22 @@ def in_spectracone(
     """Whether S diag(x) S^{-1} is entrywise nonnegative (in complex mode,
     nearly real and nonnegative within ``tol``).
 
-    For a matrix x, whether every row of x is in the spectracone.  The rows
-    are decided in chunks, each by one stacked ``similarity_image`` of at
-    most ``_CHUNK_ENTRIES`` entries (or of one row), and the first chunk
-    that fails decides.
+    For a matrix x, whether every row of x is in the spectracone.
+
+    S, x and ``sinv`` are checked first, as ``similarity_image`` checks
+    them.  When S is the Sylvester Hadamard matrix H_n (``is_sylvester``)
+    and ``sinv`` is exactly H_n / n, entry (i, j) of H_n diag(x) H_n^{-1}
+    is (H_n x)[i XOR j] / n, so x is a member iff H_n x >= 0: one exact
+    ``walsh_hadamard`` of every row decides, and no image is formed.
+    Otherwise the rows are decided in chunks, each by one stacked
+    ``similarity_image`` of at most ``_CHUNK_ENTRIES`` entries (or of one
+    row), and the first chunk that fails decides.
     """
+    sinv = _image_inverse(S, x, sinv)
+    if is_sylvester(S) and sinv == S.scale(Fraction(1, S.nrows)):
+        return is_entrywise_nonneg(walsh_hadamard(x))
     if isinstance(x, Vector):
         return is_entrywise_nonneg(similarity_image(S, x, sinv), tol)
-    sinv = _image_inverse(S, x, sinv)
     chunk = max(1, _CHUNK_ENTRIES // S.nrows**2)
     blocks = (x.row_block(b, b + chunk) for b in range(0, x.nrows, chunk))
     return all(is_entrywise_nonneg(similarity_image(S, X, sinv), tol) for X in blocks)

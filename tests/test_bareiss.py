@@ -276,6 +276,76 @@ def test_zero_rows_keep_singular_message(monkeypatch):
     assert calls == [(2, 4), (4, 8)]
 
 
+def _full_gram_decision(S):
+    """The closed form's test on all of N N^T at once, over Python ints: the
+    diagonal when N N^T is diagonal with no zero on it, else None."""
+    N = S.array_form().num.astype(object)
+    gram = N @ N.T
+    g = np.diagonal(gram).tolist()
+    return g if all(g) and np.count_nonzero(gram) == S.nrows else None
+
+
+def _gram_decision_cases():
+    rng = random.Random(48)
+    for n in (1, 2, 5, 12, 24):
+        yield f"dense-{n}", Matrix.rational(_random_rows(rng, n, n, n))
+    big = 2**80
+    yield "dense-object", Matrix.rational(
+        [[big + rng.randint(-9, 9) for _ in range(4)] for _ in range(4)]
+    )
+    yield from _orthogonal_rows_cases()
+    # Row 0 is orthogonal to every row; rows 5 and 6 are equal.
+    repeated = [list(row) for row in _sylvester(8).entries]
+    repeated[6] = repeated[5]
+    yield "repeated-row", Matrix.rational(repeated)
+    for k in (0, 3, 7):
+        rows = [list(row) for row in _sylvester(8).entries]
+        rows[k] = [0] * 8
+        yield f"zero-row-{k}", Matrix.rational(rows)
+    yield "zero-row-last", Matrix.rational([[1, 1], [0, 0]])
+    yield "zero", Matrix.rational([[0] * 3] * 3)
+
+
+_GRAM_CASES = list(_gram_decision_cases())
+
+
+@pytest.mark.parametrize("S", [pytest.param(S, id=name) for name, S in _GRAM_CASES])
+def test_row_zero_first_decides_as_the_full_gram(S):
+    form = S.array_form()
+    assert linalg._orthogonal_row_norms(form.num, form.bound) == _full_gram_decision(S)
+
+
+def test_gram_decision_cases_cover_both_decisions():
+    decisions = {_full_gram_decision(S) is None for _, S in _GRAM_CASES}
+    assert decisions == {True, False}
+
+
+def _product_shapes(monkeypatch):
+    shapes = []
+    product = linalg.integer_product
+
+    def spy(op, *operands, bound):
+        result = product(op, *operands, bound=bound)
+        shapes.append(result.shape)
+        return result
+
+    monkeypatch.setattr(linalg, "integer_product", spy)
+    return shapes
+
+
+@pytest.mark.parametrize("name, shapes", [
+    ("dense-24", [(24,)]),  # refused by row 0 alone
+    ("zero-row-0", [(8,)]),
+    ("repeated-row", [(8,), (8, 8)]),  # row 0 passes; the full product refuses
+    ("sylvester-64", [(64,), (64, 64)]),
+])
+def test_row_zero_refuses_before_the_full_gram(monkeypatch, name, shapes):
+    form = dict(_GRAM_CASES)[name].array_form()
+    seen = _product_shapes(monkeypatch)
+    linalg._orthogonal_row_norms(form.num, form.bound)
+    assert seen == shapes
+
+
 def test_kernel_invariant_each_pivot_row_ends_with_last_pivot():
     rng = random.Random(3)
     for _ in range(150):

@@ -4,7 +4,9 @@
 at once as the rows of Z, and ``perron.in_spectracone`` decides them in
 stacked exact products, ``similarity_image(K, Z_chunk, K^{-1})``, whose row
 block b is K diag(z_b) K^{-1} and which hold at most
-``perron._CHUNK_ENTRIES`` image entries each.  The oracle here is the loop
+``perron._CHUNK_ENTRIES`` image entries each; a Sylvester K (every rational
+catalog pair) is decided by one Walsh-Hadamard transform instead, so the
+tests that pin the chunks turn the recogniser off.  The oracle here is the loop
 it replaced: one ``in_spectracone`` and one ``in_spectratope`` call per
 sample, each on a ``kron_vec`` of row combinations built one sample at a
 time.  Findings, the ``rng`` state after sampling, each row of Z and each
@@ -186,6 +188,8 @@ def test_chunks_of_any_size_match_the_loop(monkeypatch, chunk, samples, sizes):
     pairs = {key: pd for key, pd in pairs.items()
              if pd.K.nrows == order and pd.K.mode == "rational"}
     monkeypatch.setattr(perron, "_CHUNK_ENTRIES", chunk * order**2)
+    # The chunks pinned here are the dense path's; H2 (x) H3 is Sylvester H8.
+    monkeypatch.setattr(perron, "is_sylvester", lambda S: False)
     # The stacked products of each pair: (rows, verdict) per chunk.
     chunks = {key: [] for key in pairs}
     names = {id(pd.K): key for key, pd in pairs.items()}
@@ -222,6 +226,8 @@ def test_no_stacked_product_exceeds_the_entry_budget(monkeypatch):
         return result
 
     monkeypatch.setattr(perron, "similarity_image", spy)
+    # Every rational catalog pair is Sylvester; pin the dense path's chunks.
+    monkeypatch.setattr(perron, "is_sylvester", lambda S: False)
     findings = {}
     pairs = catalog_pairs()
     rational = [pd for pd in pairs.values() if pd.K.mode == "rational"]
@@ -232,3 +238,27 @@ def test_no_stacked_product_exceeds_the_entry_budget(monkeypatch):
     stacked = sorted(entries for is_image, entries in shapes if is_image)
     assert stacked[-1] == budget  # H4 (x) H4: four samples of order 64
     assert len(stacked) == sum(-(-200 // (budget // pd.K.nrows**2)) for pd in rational)
+
+
+def test_the_suite_forms_no_stacked_image_of_a_sylvester_pair(monkeypatch):
+    """The suite's own run, spied with the recogniser on: every rational
+    catalog pair is a Sylvester H_n, decided by one transform of its 200
+    samples, and no similarity image is formed."""
+    images, transformed = [], []
+    image, transform = perron.similarity_image, perron.walsh_hadamard
+
+    def spy_image(S, x, sinv=None):
+        images.append(x)
+        return image(S, x, sinv)
+
+    def spy_transform(x):
+        transformed.append(x.nrows)
+        return transform(x)
+
+    monkeypatch.setattr(perron, "similarity_image", spy_image)
+    monkeypatch.setattr(perron, "walsh_hadamard", spy_transform)
+    findings = {}
+    verification._check_kron_membership(findings, catalog_pairs(), random.Random(1))
+    assert list(findings.values()) == [True, True]
+    assert images == []
+    assert transformed == [200] * 9

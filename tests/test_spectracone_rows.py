@@ -2,7 +2,9 @@
 row-by-row loop of single-point calls, and ``is_ideal`` against its loop.
 
 A matrix x is decided in chunks of at most ``perron._CHUNK_ENTRIES`` image
-entries, each one stacked ``similarity_image``.  The oracle is one
+entries, each one stacked ``similarity_image``, unless S is a Sylvester
+Hadamard matrix (``tests/test_sylvester_fast_path.py``); the tests that pin
+the chunks turn that recogniser off.  The oracle is one
 ``in_spectracone`` call per row, the path ``tests/test_membership_fast_path.py``
 checks against the dense reference.  In complex mode a stacked product may
 round a last bit differently from one product per row, so stacked complex
@@ -183,6 +185,8 @@ def _spy_products(monkeypatch):
 def test_only_the_last_row_fails_in_a_later_shorter_chunk(monkeypatch, S, chunk, sizes):
     n = S.nrows
     monkeypatch.setattr(perron, "_CHUNK_ENTRIES", chunk * n**2)
+    # The chunks pinned here are the dense path's, which H4 would skip.
+    monkeypatch.setattr(perron, "is_sylvester", lambda S: False)
     rows = _spy_products(monkeypatch)
     ones = ones_vector(n, S.mode)
     members = [row for row in S.rows() if perron.in_spectracone(S, row, TOL)]
@@ -200,6 +204,8 @@ def test_only_the_last_row_fails_in_a_later_shorter_chunk(monkeypatch, S, chunk,
 def test_is_ideal_makes_one_product_a_chunk(monkeypatch, depth):
     H = hadamard_like(depth)
     n = H.nrows
+    # The chunks pinned here are the dense path's, which H would skip.
+    monkeypatch.setattr(perron, "is_sylvester", lambda S: False)
     rows = _spy_products(monkeypatch)
     assert perron.is_ideal(H)
     chunk = max(1, perron._CHUNK_ENTRIES // n**2)
