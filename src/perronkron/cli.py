@@ -148,11 +148,9 @@ def _cmd_gen(args) -> int:
         except ZeroDivisionError as exc:
             raise CliError(f"circulant entries need nonzero denominators: {exc}") from exc
         A = families.circulant(Vector.rational(first_row))
-    elif family == "counterexample":
+    else:  # counterexample; argparse refuses any other family
         h2, t = families.counterexample_factors()
         A = kron(h2, t)
-    else:
-        raise CliError(f"unknown family {family!r}")
     return _emit_matrix(A, args)
 
 

@@ -330,10 +330,7 @@ def enumerate_extreme_rays(M: Matrix) -> List[Vector]:
             if (sign * image >= 0).all():
                 rays[Vector._rational(sign * k, int(abs(k).max()))] = None
                 break
-    # Sorted by the str of each entry as a Fraction: "p/q", or "p" when q = 1.
-    return sorted(
-        rays, key=lambda ray: [f"{p}/{q}" if q != 1 else str(p) for p, q in ray.to_pairs()]
-    )
+    return sorted(rays, key=lambda ray: [str(Fraction(p, q)) for p, q in ray.to_pairs()])
 
 
 @dataclass(frozen=True)

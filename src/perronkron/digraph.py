@@ -54,35 +54,30 @@ def _distances(succ: Sequence[Sequence[int]]) -> List[int]:
     return dist
 
 
-def _is_strongly_connected(g: Digraph, dist: List[int]) -> bool:
-    """Whether g is strongly connected, given ``dist = _distances(g.succ)``:
-    vertex 0 reaches every vertex in g and in its reverse."""
+def _reachability(A: Matrix, tol: Tolerance) -> Tuple[Digraph, List[int], bool]:
+    """The digraph g of A, the breadth-first distances from vertex 0 in g,
+    and whether g is strongly connected: vertex 0 reaches every vertex in g
+    and in its reverse, the digraph of A^T."""
+    g = digraph_of(A, tol)
+    dist = _distances(g.succ)
     # Order 1 demands a self-loop: every vertex must lie on a closed walk,
-    # so the 1-by-1 zero matrix counts as reducible.
-    if g.order == 1:
-        return bool(g.succ[0])
-    if -1 in dist:
-        return False
-    rev: List[List[int]] = [[] for _ in range(g.order)]
-    for u, v in g.edges():
-        rev[v].append(u)
-    return -1 not in _distances(rev)
-
-
-def is_strongly_connected(g: Digraph) -> bool:
-    return _is_strongly_connected(g, _distances(g.succ))
+    # so the 1-by-1 zero matrix counts as reducible.  A larger digraph with
+    # a vertex that vertex 0 does not reach needs no reverse walk.
+    if g.order == 1 or -1 in dist:
+        return g, dist, g.order == 1 and bool(g.succ[0])
+    reverse = digraph_of(A.transpose(), tol)
+    return g, dist, -1 not in _distances(reverse.succ)
 
 
 def is_irreducible(A: Matrix, tol: Tolerance = Tolerance()) -> bool:
     """A square matrix is irreducible iff its digraph is strongly connected."""
-    return is_strongly_connected(digraph_of(A, tol))
+    return _reachability(A, tol)[2]
 
 
 def imprimitivity_index(A: Matrix, tol: Tolerance = Tolerance()) -> int:
     """gcd of the closed directed walk lengths of an irreducible matrix."""
-    g = digraph_of(A, tol)
-    dist = _distances(g.succ)
-    if not _is_strongly_connected(g, dist):
+    g, dist, connected = _reachability(A, tol)
+    if not connected:
         raise NotIrreducibleError("imprimitivity index requires irreducibility")
     period = 0
     for u, v in g.edges():

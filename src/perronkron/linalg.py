@@ -838,9 +838,13 @@ def kron_factor(
 ) -> Optional[Tuple[Vector, Vector]]:
     """Factor z as x (x) y with x of dimension m, y of dimension n.
 
-    Reshapes z row-major into an m-by-n matrix; a factorization exists iff
-    that matrix has rank at most 1.  The returned y has first nonzero entry
-    equal to 1.  Returns None when no factorization exists.
+    Reshapes z row-major into an m-by-n matrix Z; a factorization exists iff
+    Z = x y^T has rank at most 1 (Van Loan, "The ubiquitous Kronecker
+    product", 2000).  x is the column of Z through its first nonzero entry
+    p, and y is p's row over p, so y has first nonzero entry 1.  In rational
+    mode z factors iff ``kron_vec(x, y) == z``; in complex mode iff the
+    residual Z - x y^T stays within the tolerance.  Returns None when no
+    factorization exists.
     """
     if z.dim != m * n:
         raise ValueError(f"dimension mismatch: {z.dim} != {m} * {n}")
@@ -859,13 +863,10 @@ def kron_factor(
     i0, j0 = divmod(int(np.flatnonzero(nonzero)[0]), n)
     col, row = Z[:, j0], Z[i0]
     if z.mode == RATIONAL:
-        # Z / d has rank 1 iff Z[i, j] * p == Z[i, j0] * Z[i0, j] for the pivot p.
-        p, bound = int(Z[i0, j0]), z._state.bound ** 2
-        lhs = integer_product(np.multiply, Z, p, bound=bound)
-        if not np.array_equal(lhs, integer_product(np.outer, col, row, bound=bound)):
-            return None
-        y = row if p > 0 else -row
-        return Vector._rational(col, z._den), Vector._rational(y, abs(p))
+        p = int(Z[i0, j0])
+        x = Vector._rational(col, z._den)
+        y = Vector._rational(row if p > 0 else -row, abs(p))
+        return (x, y) if kron_vec(x, y) == z else None
     # Python's complex division, which numpy's need not match.
     p = complex(Z[i0, j0])
     y = np.array([v / p for v in row.tolist()], dtype=complex)

@@ -24,6 +24,7 @@ from .linalg import (
     ModeMismatchError,
     Tolerance,
     Vector,
+    basis_vector,
     diag_embed,
     face_split,
     inf_norm,
@@ -204,7 +205,7 @@ def is_ideal(
     """
     sinv = _checked_inverse(S, sinv)
     ones = ones_vector(S.nrows, S.mode)
-    if not any(matrices_close(row, ones, tol) for row in S.rows()):
+    if not any(matrices_close(S.row(i), ones, tol) for i in range(S.nrows)):
         return False
     return in_spectracone(S, S, tol, sinv)
 
@@ -232,15 +233,14 @@ def make_totally_nonzero(
 ) -> Vector:
     """Totally nonzero, non-constant spectracone member built from a witness.
 
-    Returns e_k + 2e, which stays in the cone (the cone contains e_k and e
-    and is convex), has no zero entries, and is not a multiple of e when
-    the order is at least 2.
+    Returns e_k + 2e for the witness index k, the sum of the unit vectors
+    ``basis_vector`` and ``ones_vector`` build.  It stays in the cone (the
+    cone contains e_k and e and is convex), has no zero entries, and is not
+    a multiple of e when the order is at least 2.
     """
     if not witness_is_valid(S, w, tol, sinv):
         raise ValueError(f"{w} is not a valid witness for this matrix")
-    entries = [2] * S.nrows
-    entries[w.index - 1] = 3
-    return Vector(entries, S.mode)
+    return basis_vector(S.nrows, w.index, S.mode) + ones_vector(S.nrows, S.mode).scale(2)
 
 
 def factor_cone_members(

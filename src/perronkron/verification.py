@@ -77,8 +77,8 @@ def _holds(verdicts: Iterable[object]) -> bool:
     return not [v for v in verdicts if not v]
 
 
-def _random_fraction(rng: random.Random, lo: int = -6, hi: int = 6) -> Fraction:
-    return Fraction(rng.randint(lo, hi), rng.randint(1, 4))
+def _random_fraction(rng: random.Random) -> Fraction:
+    return Fraction(rng.randint(-6, 6), rng.randint(1, 4))
 
 
 def _random_rational_matrix(rng: random.Random, m: int, n: int) -> Matrix:

@@ -292,3 +292,24 @@ def test_cones_with_a_line_match_the_full_scan():
         assert got == scan_every_row_subset(M)
         rays += len(got)
     assert rays >= 20
+
+
+def test_generator_sets_refuse_no_vectors_and_mixed_ones():
+    with pytest.raises(ValueError, match="generator sets must be nonempty"):
+        ConeGenerators(())
+    with pytest.raises(ValueError, match="generators must share a dimension"):
+        ConeGenerators((Vector.rational([1]), Vector.rational([1, 2])))
+    with pytest.raises(ModeMismatchError, match="generators must share a mode"):
+        ConeGenerators((Vector.rational([1]), Vector.complex_([1])))
+
+
+def test_extreme_rays_refuse_complex_mode():
+    with pytest.raises(ModeMismatchError, match="requires rational mode"):
+        enumerate_extreme_rays(dft(3))
+
+
+def test_spectratope_strictness_refuses_an_order_one_factor():
+    one = Matrix.rational([[1]])
+    for S, T in ((one, H2), (H2, one)):
+        with pytest.raises(ValueError, match="orders at least 2"):
+            spectratope_strictness_certificate(S, T)

@@ -1,13 +1,16 @@
 """One rule for every verify-paper finding decided over many cases:
 ``verification._holds`` decides every case, in order, also after one has
 failed.  A failing case skips no later draw from the seeded generator and
-leaves no later case undecided.  verify-paper reads the array state and
-never builds the ``Fraction`` view ``entries``.
+leaves no later case undecided, and a finding with a failing case reads
+false.  verify-paper reads the array state and never builds the
+``Fraction`` view ``entries``.
 """
 import hashlib
 import random
 
-from perronkron import linalg, perron, verification
+import pytest
+
+from perronkron import families, linalg, perron, verification
 from perronkron.cli import main
 from perronkron.linalg import Tolerance
 from test_cli_contract import VERIFY_PAPER_SEED_42_SHA256
@@ -79,3 +82,42 @@ def test_verify_paper_builds_no_entries_view(monkeypatch, capsys):
     assert main(["--seed", "42", "verify-paper"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_PAPER_SEED_42_SHA256
+
+
+def _catalog_pairs():
+    catalog, inverses = verification._catalog(), {}
+    pairs = {
+        (ns, nt): verification._PairData(S, T, inverses)
+        for ns, S in catalog
+        for nt, T in catalog
+    }
+    return catalog, inverses, pairs
+
+
+def test_no_witness_fails_the_witness_findings(monkeypatch):
+    catalog, inverses, pairs = _catalog_pairs()
+    passing = {}
+    verification._check_kron_witnesses(passing, pairs, Tolerance())
+    verification._check_totally_nonzero(passing, catalog, inverses, Tolerance())
+    assert passing == {"kron_witness_grid": True, "totally_nonzero_cone_vectors": True}
+    monkeypatch.setattr(perron, "find_perron_witness", lambda *args: None)
+    failing = {}
+    verification._check_kron_witnesses(failing, pairs, Tolerance())
+    verification._check_totally_nonzero(failing, catalog, inverses, Tolerance())
+    assert failing == {"kron_witness_grid": False, "totally_nonzero_cone_vectors": False}
+
+
+def test_a_mismatched_row_image_fails_only_its_finding(monkeypatch):
+    passing = {}
+    verification._check_digraphs(passing, Tolerance())
+    assert passing == {
+        "cycle_imprimitivity_indices": True,
+        "kron_irreducibility_grid": True,
+        "dft_extremal_row_images": True,
+    }
+    monkeypatch.setattr(families, "matrices_close", lambda *args: False)
+    with pytest.raises(families.VerificationFailedError):
+        families.extremal_row_image(3, 2)
+    failing = {}
+    verification._check_digraphs(failing, Tolerance())
+    assert failing == dict(passing, dft_extremal_row_images=False)

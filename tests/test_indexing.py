@@ -82,3 +82,8 @@ def test_fold_unfold_roundtrip(m, n, data):
     k = data.draw(st.integers(1, m))
     ell = data.draw(st.integers(1, n))
     assert unfold_index(fold_index(IndexPair(k, ell), n), n) == (k, ell)
+
+
+def test_division_identity_refuses_a_zero_modulus():
+    with pytest.raises(ValueError, match="modulus must be positive, got 0"):
+        division_identity_holds(3, 0)

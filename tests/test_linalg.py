@@ -292,3 +292,46 @@ def test_matrix_json_rejects_garbage():
         matrix_from_json('{"mode": "decimal", "rows": 1, "cols": 1, "data": ["1/1"]}')
     with pytest.raises(ValueError):
         matrix_from_json('{"mode": "rational", "rows": 2, "cols": 2, "data": ["1/1"]}')
+
+
+def test_arrays_refuse_bad_entries_and_modes():
+    with pytest.raises(TypeError, match="cannot use 0.5 as a rational entry"):
+        Vector.rational([0.5])
+    with pytest.raises(ValueError, match="unknown scalar mode 'real'"):
+        Vector([1], "real")
+    with pytest.raises(ValueError, match="unknown scalar mode 'real'"):
+        Matrix([[1]], "real")
+
+
+def test_arrays_refuse_empty_and_ragged_input():
+    with pytest.raises(ValueError, match="vectors must be nonempty"):
+        Vector.rational([])
+    for rows in ([], [[]]):
+        with pytest.raises(ValueError, match="matrices must be nonempty"):
+            Matrix.rational(rows)
+    with pytest.raises(ValueError, match="all rows must have equal length"):
+        Matrix.rational([[1, 2], [3]])
+
+
+def test_sums_refuse_a_shape_mismatch():
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        Vector.rational([1, 2]) + Vector.rational([1])
+    A, B = Matrix.rational([[1, 2]]), Matrix.rational([[1], [2]])
+    with pytest.raises(ValueError, match="shape mismatch"):
+        A + B
+    with pytest.raises(ValueError, match="shape mismatch"):
+        A - B
+
+
+def test_products_refuse_a_dimension_mismatch():
+    A = Matrix.rational([[1, 2]])
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        A.scale_columns(Vector.rational([1]))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        A.scale_columns(Matrix.rational([[1, 2, 3]]))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        A @ Vector.rational([1])
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        A @ Matrix.rational([[1, 2]])
+    with pytest.raises(TypeError, match="unsupported operand"):
+        A @ 3

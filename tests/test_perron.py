@@ -291,3 +291,15 @@ def test_tope_certificate_point_keeps_the_given_phi():
             assert evidence.holds
             if S.mode == "rational":
                 assert min(zp) > 1 - phi
+
+
+def test_cone_inequalities_refuse_a_non_square_matrix():
+    with pytest.raises(ValueError, match="require square matrices"):
+        cone_inequalities(Matrix.rational([[1, 2]]))
+
+
+def test_factor_cone_members_refuse_the_counterexample():
+    assert find_perron_witness(COUNTEREXAMPLE_S) is None
+    for S, T in ((COUNTEREXAMPLE_S, H2), (H2, COUNTEREXAMPLE_S)):
+        with pytest.raises(ValueError, match="both factors must be Perron similarities"):
+            factor_cone_members(S, T)
