@@ -6,9 +6,14 @@ entrywise nonnegative; the spectratope additionally requires infinity
 norm exactly 1.  S is a Perron similarity when some column of S and the
 matching row of S^{-1} are both nonnegative or both nonpositive.
 Every function that accepts a precomputed inverse ``sinv`` takes it from
-``_checked_inverse``, which refuses a non-square S, inverts S when
-``sinv`` is None and otherwise refuses one not in S's mode or not of S's
-shape.
+``_checked_inverse``, the one place a malformed operand is refused.  In
+order, it checks that S is square (``similarity_image`` and
+``in_spectracone`` say "similarity images require square matrices",
+``cone_inequalities`` "cone inequalities ..." and ``find_perron_witness``
+"Perron witnesses ...", the rest "only square matrices are invertible"),
+that a spectrum x is of S's order, that x and then ``sinv`` are in S's
+mode once S is inverted (when ``sinv`` is None), and that ``sinv`` has
+S's shape.
 """
 from __future__ import annotations
 
@@ -21,9 +26,9 @@ from .indexing import IndexPair, fold_index
 from .linalg import (
     RATIONAL,
     Matrix,
-    ModeMismatchError,
     Tolerance,
     Vector,
+    _require_same_mode,
     basis_vector,
     diag_embed,
     face_split,
@@ -54,6 +59,9 @@ class PerronWitness(NamedTuple):
 # is (H_n x)[i XOR j] / n.
 _CHUNK_ENTRIES = 2**14
 
+# What ``similarity_image`` and ``in_spectracone`` say of a non-square S.
+_IMAGE_SQUARE = "similarity images require square matrices"
+
 
 def similarity_image(
     S: Matrix, x: Union[Vector, Matrix], sinv: Optional[Matrix] = None
@@ -63,38 +71,34 @@ def similarity_image(
     For a matrix x, the images of its rows x_b stacked: row block b is
     S diag(x_b) S^{-1}, and one product forms them all.
     """
-    sinv = _image_inverse(S, x, sinv)
+    sinv = _checked_inverse(S, sinv, x, _IMAGE_SQUARE)
     return S.scale_columns(x) @ sinv
 
 
-def _image_inverse(
-    S: Matrix, x: Union[Vector, Matrix], sinv: Optional[Matrix]
-) -> Matrix:
-    """``_checked_inverse`` for the image of x under S: S must be square and
-    x of S's order before S is inverted."""
-    if not S.is_square:
-        raise ValueError("similarity images require square matrices")
-    if (x.ncols if isinstance(x, Matrix) else x.dim) != S.nrows:
-        raise ValueError("dimension mismatch between matrix and spectrum")
-    return _checked_inverse(S, sinv, x)
-
-
 def _checked_inverse(
-    S: Matrix, sinv: Optional[Matrix], x: Union[Vector, Matrix, None] = None
+    S: Matrix,
+    sinv: Optional[Matrix],
+    x: Union[Vector, Matrix, None] = None,
+    square: str = "only square matrices are invertible",
 ) -> Matrix:
-    """``sinv``, or S^{-1} when it is None.
+    """``sinv``, or S^{-1} when it is None: the one place perron refuses a
+    malformed operand.
 
-    S must be square, whether or not ``sinv`` is given.  x (when given) and
-    then the inverse must be in S's mode, and the inverse must have S's
-    shape.
+    In order: S must be square, whether or not ``sinv`` is given (else
+    ValueError with the caller's ``square`` message); x (when given) must
+    be of S's order; S is inverted when ``sinv`` is None; x and then the
+    inverse must be in S's mode (``_require_same_mode``); and the inverse
+    must have S's shape.
     """
     if not S.is_square:
-        raise ValueError("only square matrices are invertible")
+        raise ValueError(square)
+    if x is not None and (x.ncols if isinstance(x, Matrix) else x.dim) != S.nrows:
+        raise ValueError("dimension mismatch between matrix and spectrum")
     if sinv is None:
         sinv = inverse(S)
     for other in (x, sinv):
-        if other is not None and other.mode != S.mode:
-            raise ModeMismatchError(f"mode mismatch: {S.mode} vs {other.mode}")
+        if other is not None:
+            _require_same_mode(S, other)
     if (sinv.nrows, sinv.ncols) != (S.nrows, S.ncols):
         raise ValueError("dimension mismatch")
     return sinv
@@ -111,16 +115,19 @@ def in_spectracone(
 
     For a matrix x, whether every row of x is in the spectracone.
 
-    S, x and ``sinv`` are checked first, as ``similarity_image`` checks
-    them.  When S is the Sylvester Hadamard matrix H_n (``is_sylvester``)
-    and ``sinv`` is exactly H_n / n, entry (i, j) of H_n diag(x) H_n^{-1}
-    is (H_n x)[i XOR j] / n, so x is a member iff H_n x >= 0: one exact
-    ``walsh_hadamard`` of every row decides, and no image is formed.
+    S, x and ``sinv`` are checked first by ``_checked_inverse``, as
+    ``similarity_image`` checks them: S square ("similarity images require
+    square matrices"), x of S's order, x and ``sinv`` in S's mode, and
+    ``sinv`` of S's shape.  When S is the Sylvester Hadamard matrix H_n
+    (``is_sylvester``) and ``sinv`` is exactly H_n / n, entry (i, j) of
+    H_n diag(x) H_n^{-1} is (H_n x)[i XOR j] / n, so x is a member iff
+    H_n x >= 0: one exact ``walsh_hadamard`` of every row decides, and no
+    image is formed.
     Otherwise the rows are decided in chunks, each by one stacked
     ``similarity_image`` of at most ``_CHUNK_ENTRIES`` entries (or of one
     row), and the first chunk that fails decides.
     """
-    sinv = _image_inverse(S, x, sinv)
+    sinv = _checked_inverse(S, sinv, x, _IMAGE_SQUARE)
     if is_sylvester(S) and sinv == S.scale(Fraction(1, S.nrows)):
         return is_entrywise_nonneg(walsh_hadamard(x))
     if isinstance(x, Vector):
@@ -154,18 +161,15 @@ def cone_inequalities(S: Matrix, sinv: Optional[Matrix] = None) -> Matrix:
     S[i, k] * S^{-1}[k, j], the coefficient of x_k in the (i, j) entry of
     S diag(x) S^{-1}.
     """
-    if not S.is_square:
-        raise ValueError("cone inequalities require square matrices")
-    return face_split(S, _checked_inverse(S, sinv).transpose())
+    sinv = _checked_inverse(S, sinv, square="cone inequalities require square matrices")
+    return face_split(S, sinv.transpose())
 
 
 def find_perron_witness(
     S: Matrix, tol: Tolerance = Tolerance(), sinv: Optional[Matrix] = None
 ) -> Optional[PerronWitness]:
     """First (ascending k, + before -) column/inverse-row witness, if any."""
-    if not S.is_square:
-        raise ValueError("Perron witnesses require square matrices")
-    sinv = _checked_inverse(S, sinv)
+    sinv = _checked_inverse(S, sinv, square="Perron witnesses require square matrices")
     witnesses = (PerronWitness(k, s) for k in range(1, S.nrows + 1) for s in (1, -1))
     return next((w for w in witnesses if witness_is_valid(S, w, tol, sinv)), None)
 

@@ -7,7 +7,7 @@ import pytest
 
 from perronkron.cli import main
 from perronkron.families import dft, hadamard_like
-from perronkron.linalg import Matrix, Tolerance
+from perronkron.linalg import Matrix, Tolerance, Vector
 from perronkron.serialize import matrix_to_json, vector_to_dict
 
 # sha256 of the stdout of `perronkron --seed 42 verify-paper`.
@@ -95,18 +95,31 @@ def _assert_refused(argv, capsys, message):
     assert out == ""
 
 
+# Verbs whose second operand is a vector.
+_SPECTRUM_VERBS = {"cone-member", "tope-member", "check-strong"}
+
+
 @pytest.mark.parametrize(
     "verb, message",
     [
         ("invert", "only square matrices are invertible"),
         ("check-ideal", "only square matrices are invertible"),
         ("check-perron", "Perron witnesses require square matrices"),
+        ("cone-member", "similarity images require square matrices"),
+        ("tope-member", "similarity images require square matrices"),
+        ("check-strong", "similarity images require square matrices"),
     ],
 )
 def test_a_non_square_matrix_is_refused(tmp_path, capsys, verb, message):
     wide = tmp_path / "wide.json"
     wide.write_text(matrix_to_json(Matrix.rational([[1, 2, 3], [4, 5, 6]])))
-    _assert_refused([verb, str(wide)], capsys, message)
+    operands = [str(wide)]
+    if verb in _SPECTRUM_VERBS:
+        # As long as the matrix is wide; S is refused as non-square first.
+        spectrum = tmp_path / "x.json"
+        spectrum.write_text(json.dumps(vector_to_dict(Vector.rational([1, 1, 1]))))
+        operands.append(str(spectrum))
+    _assert_refused([verb, *operands], capsys, message)
 
 
 @pytest.mark.parametrize("family, order", [("dft", "0"), ("cycle", "-2")])

@@ -1,8 +1,9 @@
 """Source hygiene: no library module imports a name it never uses, only
 `linalg` and `cones` import numpy, so the array format stays behind `linalg`
 (`cones` hands integer arrays to its Bareiss kernel), the `entries` view
-is read only by its own members, and an `IntegerForm` is built only by the
-two rational constructors."""
+is read only by its own members, an `IntegerForm` is built only by the
+two rational constructors, and `perron` asks whether S is square only in
+`_checked_inverse`."""
 import ast
 from pathlib import Path
 
@@ -150,3 +151,33 @@ def test_the_scan_sees_an_integer_form_call():
         "class A:\n    def g(self):\n        return IntegerForm(0, 1, 0)._replace()\n"
     )
     assert _integer_form_calls(source) == [(2, "_cleared"), (4, "f"), (8, "g")]
+
+
+# Where perron may ask whether S is square: only in the helper that refuses
+# every malformed (S, x, sinv), so each entry point says so by one call.
+SQUARE_CHECKERS = {"_checked_inverse"}
+
+
+def _is_square_reads(source: str):
+    """(line, innermost enclosing function) of each read of `.is_square`."""
+    return _sites(source, lambda node: (
+        isinstance(node, ast.Attribute)
+        and node.attr == "is_square"
+        and isinstance(node.ctx, ast.Load)
+    ))
+
+
+def test_perron_asks_whether_s_is_square_only_in_its_checked_inverse():
+    reads = _is_square_reads((PACKAGE / "perron.py").read_text(encoding="utf-8"))
+    assert reads
+    assert [(line, func) for line, func in reads if func not in SQUARE_CHECKERS] == []
+
+
+def test_the_scan_sees_an_is_square_read():
+    source = (
+        "def _checked_inverse(S):\n    return S.is_square\n"
+        "def f(S):\n    if not S.is_square:\n        raise ValueError\n"
+        "def g(S):\n    S.is_square = True\n    return S.is_squared\n"
+        "square = M.is_square\n"
+    )
+    assert _is_square_reads(source) == [(2, "_checked_inverse"), (4, "f"), (9, None)]

@@ -269,6 +269,9 @@ _ERROR_CASES = {
     "sinv-4x4": (H2, [1, 1], hadamard_like(3), RATIONAL, ValueError, SHAPE),
     "singular": (Matrix.rational([[1, 1], [1, 1]]), [1, 1], None, RATIONAL,
                  SingularMatrixError, "no pivot in column 2"),
+    # S is inverted before the modes are compared.
+    "singular-x-mode": (Matrix.rational([[1, 1], [1, 1]]), [1, 1], None, "complex",
+                        SingularMatrixError, "no pivot in column 2"),
 }
 
 
@@ -286,7 +289,8 @@ def test_a_matrix_of_points_raises_as_one_point_does(case):
             assert (type(info.value), str(info.value)) == (error, message)
 
 
-# Every function that accepts ``sinv``, called on H2 with its witness (1, +1).
+# Every function that accepts ``sinv``, called on H2 with its witness (1, +1)
+# or with the spectrum e.
 _SINV_TAKERS = {
     "cone_inequalities": lambda S, sinv: perron.cone_inequalities(S, sinv),
     "find_perron_witness": lambda S, sinv: perron.find_perron_witness(S, TOL, sinv),
@@ -295,6 +299,10 @@ _SINV_TAKERS = {
     "make_totally_nonzero": lambda S, sinv: perron.make_totally_nonzero(
         S, perron.PerronWitness(1, 1), TOL, sinv),
     "is_ideal": lambda S, sinv: perron.is_ideal(S, TOL, sinv),
+    "verify_strong_certificate": lambda S, sinv: perron.verify_strong_certificate(
+        S, ones_vector(S.nrows, RATIONAL), TOL, sinv),
+    "in_spectratope": lambda S, sinv: perron.in_spectratope(
+        S, ones_vector(S.nrows, RATIONAL), TOL, sinv),
 }
 
 
@@ -316,7 +324,9 @@ _NON_SQUARE = {
     "2x3": Matrix.rational([[1, 2, 3], [4, 5, 6]]),
 }
 _NON_SQUARE_TAKERS = {
-    name: _SINV_TAKERS[name] for name in ("witness_is_valid", "make_totally_nonzero", "is_ideal")
+    name: _SINV_TAKERS[name]
+    for name in ("witness_is_valid", "make_totally_nonzero", "is_ideal",
+                 "cone_inequalities", "find_perron_witness")
 }
 _NON_SQUARE_TAKERS["witness_is_valid-3"] = lambda S, sinv: perron.witness_is_valid(
     S, perron.PerronWitness(3, 1), TOL, sinv)
