@@ -25,11 +25,15 @@ Computed arrays become one only through ``_rational``, whose lowest-terms
 constructor every rational result passes, or ``_complex``.  ``_cleared``
 and ``_lowest_terms`` alone build an ``IntegerForm``, and
 ``integer_product`` runs each integer operation in int64 or on Python ints.
-Every complex product, matmul too, is formed from real and imaginary parts,
-so it rounds as Python's complex product does; every complex result must be
-finite.  The entry tests (``support``, ``inf_norm``, ``matrices_close``,
-nonnegativity) live here and read the state; a complex modulus is
-``hypot(re, im)``, which rounds as Python's ``abs`` does.
+``kron`` and ``kron_vec`` form a product by ``_kron``: one broadcast
+product of every entry of one factor with every entry of the other,
+reshaped to the blockwise layout (A (x) B is a reshaped outer product, as
+Van Loan's survey cited below puts it); numpy's ``kron`` is not used.  Every
+complex product, matmul and ``kron`` too, is formed from real and imaginary
+parts, so it rounds as Python's complex product does; every complex result
+must be finite.  The entry tests (``support``, ``inf_norm``,
+``matrices_close``, nonnegativity) live here and read the state; a complex
+modulus is ``hypot(re, im)``, which rounds as Python's ``abs`` does.
 
 Exact elimination has one kernel, ``bareiss_eliminate``: fraction-free
 Gauss-Jordan elimination on Python integers, after E. H. Bareiss,
@@ -558,13 +562,22 @@ def index_matrix(c: Vector, index: Callable) -> Matrix:
 def kron(A: Matrix, B: Matrix) -> Matrix:
     """Kronecker product, blockwise [a_ij * B]."""
     _require_same_mode(A, B)
-    return _product(Matrix, A, B, np.kron)
+    return _product(Matrix, A, B, _kron)
 
 
 def kron_vec(x: Vector, y: Vector) -> Vector:
     """Kronecker product of vectors: entry i is x_ceil(i/n) * y_((i-1)%n+1)."""
     _require_same_mode(x, y)
-    return _product(Vector, x, y, np.kron)
+    return _product(Vector, x, y, _kron)
+
+
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The Kronecker product of two vectors or two matrices, as one
+    broadcast product reshaped: entry (i * p + k, j * q + l) of a (x) b,
+    for b of shape (p, q), is ``a[i, j] * b[k, l]``."""
+    if a.ndim == 1:
+        return (a[:, None] * b).ravel()
+    return (a[:, None, :, None] * b[:, None]).reshape(len(a) * len(b), -1)
 
 
 def face_split(A: Matrix, B: Matrix) -> Matrix:

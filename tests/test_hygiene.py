@@ -2,8 +2,9 @@
 `linalg` and `cones` import numpy, so the array format stays behind `linalg`
 (`cones` hands integer arrays to its Bareiss kernel), the `entries` view
 is read only by its own members, an `IntegerForm` is built only by the
-two rational constructors, and `perron` asks whether S is square only in
-`_checked_inverse`."""
+two rational constructors, `perron` asks whether S is square only in
+`_checked_inverse`, and no module reaches numpy's `kron`, so `linalg._kron`
+is the one Kronecker kernel."""
 import ast
 from pathlib import Path
 
@@ -181,3 +182,39 @@ def test_the_scan_sees_an_is_square_read():
         "square = M.is_square\n"
     )
     assert _is_square_reads(source) == [(2, "_checked_inverse"), (4, "f"), (9, None)]
+
+
+# `kron` and `kron_vec` form every Kronecker product by `linalg._kron`, one
+# broadcast product; `np.kron` stays a reference of the tests only.
+def _numpy_kron_references(source: str):
+    """(line, innermost enclosing function) of each reference to numpy's
+    `kron`: `np.kron`, `numpy.kron` or a `kron` imported from numpy."""
+    return _sites(source, lambda node: (
+        isinstance(node, ast.Attribute)
+        and node.attr == "kron"
+        and isinstance(node.value, ast.Name)
+        and node.value.id in {"np", "numpy"}
+    ) or (
+        isinstance(node, ast.ImportFrom)
+        and (node.module or "").split(".")[0] == "numpy"
+        and any(alias.name == "kron" for alias in node.names)
+    ))
+
+
+def test_no_module_reaches_numpy_kron():
+    references = [
+        (path.name, line, func)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for line, func in _numpy_kron_references(path.read_text(encoding="utf-8"))
+    ]
+    assert references == []
+
+
+def test_the_scan_sees_a_numpy_kron_reference():
+    source = (
+        "def kron(A, B):\n    return _product(Matrix, A, B, np.kron)\n"
+        "def f(a, b):\n    return numpy.kron(a, b)\n"
+        "from numpy import kron\n"
+        "def g(a, b):\n    return linalg.kron(a, b), _kron(a, b), np.kron_vec\n"
+    )
+    assert _numpy_kron_references(source) == [(2, "kron"), (4, "f"), (5, None)]
