@@ -1,6 +1,10 @@
 """Conical and convex hull membership by exact LP, Kronecker products of
 generator sets, and polyhedral cross-checks.
 
+The spectratope strictness certificate is its checks, its blended point
+and its evidence; ``perron._kron_certificate``, the construction behind
+the cone certificate too, decides membership and factorization.
+
 Membership is decided by a phase-one simplex over exact rationals with
 Bland's anti-cycling rule (R. G. Bland, "New finite pivoting rules for the
 simplex method", Math. Oper. Res. 2 (1977)).  The system is built from the
@@ -41,16 +45,15 @@ from .linalg import (
     Vector,
     _INT64_SAFE,
     bareiss_eliminate,
+    has_unit_inf_norm,
     inf_norm,
     integer_product,
-    kron,
-    kron_factor,
     kron_vec,
     ones_vector,
     rank_one,
     support,
 )
-from .perron import factor_cone_members, has_unit_inf_norm, in_spectracone
+from .perron import _kron_certificate
 
 HullKind = Literal["conical", "convex"]
 
@@ -365,18 +368,13 @@ def spectratope_strictness_certificate(
         raise ValueError("strictness certificates require orders at least 2")
     if not 0 < phi < 1:
         raise ValueError("phi and psi = 1 - phi must both be positive")
-    x, y, K_inv = factor_cone_members(S, T, tol)
-    z = kron_vec(x.scale(1 / inf_norm(x)), y.scale(1 / inf_norm(y)))
-    m, n = S.nrows, T.nrows
     psi = 1 - phi
-    zp = z.scale(phi) + ones_vector(m * n, z.mode).scale(psi)
-    evidence = TopeStrictnessEvidence(
-        member_cone=in_spectracone(kron(S, T), zp, tol, K_inv),
-        # The blend has entry phi*1 + psi = 1 where both factors attain their
-        # norm, and no entry can exceed 1.
-        norm_is_one=has_unit_inf_norm(zp, tol),
-        factorization_absent=kron_factor(zp, m, n, tol) is None,
-        phi=phi,
-        psi=psi,
-    )
-    return zp, evidence
+
+    def blend(x: Vector, y: Vector) -> Vector:
+        z = kron_vec(x.scale(1 / inf_norm(x)), y.scale(1 / inf_norm(y)))
+        return z.scale(phi) + ones_vector(z.dim, z.mode).scale(psi)
+
+    zp, member, absent = _kron_certificate(S, T, tol, blend)
+    # The blend has entry phi*1 + psi = 1 where both factors attain their
+    # norm, and no entry can exceed 1.
+    return zp, TopeStrictnessEvidence(member, has_unit_inf_norm(zp, tol), absent, phi, psi)

@@ -32,8 +32,9 @@ Van Loan's survey cited below puts it); numpy's ``kron`` is not used.  Every
 complex product, matmul and ``kron`` too, is formed from real and imaginary
 parts, so it rounds as Python's complex product does; every complex result
 must be finite.  The entry tests (``support``, ``inf_norm``,
-``matrices_close``, nonnegativity) live here and read the state; a complex
-modulus is ``hypot(re, im)``, which rounds as Python's ``abs`` does.
+``has_unit_inf_norm``, ``matrices_close``, nonnegativity) live here and
+read the state; a complex modulus is ``hypot(re, im)``, which rounds as
+Python's ``abs`` does.
 
 Exact elimination has one kernel, ``bareiss_eliminate``: fraction-free
 Gauss-Jordan elimination on Python integers, after E. H. Bareiss,
@@ -791,6 +792,14 @@ def inf_norm(x: Vector) -> Union[Fraction, float]:
     if x.mode == RATIONAL:
         return Fraction(x._state.bound, x._state.den)
     return float(_moduli(x._state).max())
+
+
+def has_unit_inf_norm(x: Vector, tol: Tolerance = Tolerance()) -> bool:
+    """Whether the infinity norm of x is 1: exactly in rational mode, within
+    eps in complex mode."""
+    if x.mode == RATIONAL:
+        return inf_norm(x) == 1
+    return abs(inf_norm(x) - 1.0) <= tol.eps
 
 
 def row_inf_norms(A: Matrix) -> List[Union[Fraction, float]]:

@@ -1,6 +1,13 @@
 """Perron similarities: witnesses, spectracone and spectratope membership,
 ideal/strong certificates, and strict-containment constructions.
 
+One construction, ``_kron_certificate``, builds both strictness
+certificates, this module's cone one and the spectratope one in ``cones``:
+it forms a point from the factors' totally nonzero cone members, decides
+its membership in C(S (x) T) through S^{-1} (x) T^{-1}, and asks whether its
+reshape has rank 1.  Each certificate checks its own arguments first and
+forms its own point.
+
 The spectracone of an invertible S is the set of x with S diag(x) S^{-1}
 entrywise nonnegative; the spectratope additionally requires infinity
 norm exactly 1.  S is a Perron similarity when some column of S and the
@@ -19,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Optional, Tuple, Union
+from typing import Callable, NamedTuple, Optional, Tuple, Union
 
 from .digraph import is_irreducible
 from .indexing import IndexPair, fold_index
@@ -32,7 +39,7 @@ from .linalg import (
     basis_vector,
     diag_embed,
     face_split,
-    inf_norm,
+    has_unit_inf_norm,
     inverse,
     is_entrywise_nonneg,
     is_sylvester,
@@ -144,14 +151,6 @@ def in_spectratope(
     sinv: Optional[Matrix] = None,
 ) -> bool:
     return in_spectracone(S, x, tol, sinv) and has_unit_inf_norm(x, tol)
-
-
-def has_unit_inf_norm(x: Vector, tol: Tolerance = Tolerance()) -> bool:
-    """Whether the infinity norm of x is 1: exactly in rational mode, within
-    eps in complex mode."""
-    if x.mode == RATIONAL:
-        return inf_norm(x) == 1
-    return abs(inf_norm(x) - 1.0) <= tol.eps
 
 
 def cone_inequalities(S: Matrix, sinv: Optional[Matrix] = None) -> Matrix:
@@ -266,6 +265,23 @@ def factor_cone_members(
     return x, y, kron(S_inv, T_inv)
 
 
+def _kron_certificate(
+    S: Matrix, T: Matrix, tol: Tolerance, point: Callable[[Vector, Vector], Vector]
+) -> Tuple[Vector, bool, bool]:
+    """The one construction behind both strictness certificates.
+
+    Forms zp = point(x, y) from the ``factor_cone_members`` x and y, and
+    returns zp, whether it lies in C(S (x) T) (decided through
+    S^{-1} (x) T^{-1}), and whether it admits no Kronecker factorization
+    (its reshape to S.nrows rows has rank above 1).  The callers check
+    their own arguments first.
+    """
+    x, y, K_inv = factor_cone_members(S, T, tol)
+    zp = point(x, y)
+    member = in_spectracone(kron(S, T), zp, tol, K_inv)
+    return zp, member, kron_factor(zp, S.nrows, T.nrows, tol) is None
+
+
 @dataclass(frozen=True)
 class StrictConeEvidence:
     """Evidence that a cone vector lies in C(S (x) T) but has no factorization."""
@@ -291,17 +307,11 @@ def strict_cone_containment_certificate(
     """
     if S.nrows < 2 or T.nrows < 2:
         raise ValueError("strict containment requires orders at least 2")
-    x, y, K_inv = factor_cone_members(S, T, tol)
-    z = kron_vec(x, y)
-    m, n = S.nrows, T.nrows
-    shift = Fraction(1) if z.mode == RATIONAL else complex(1)
-    zp = z + ones_vector(m * n, z.mode)
-    evidence = StrictConeEvidence(
-        member=in_spectracone(kron(S, T), zp, tol, K_inv),
-        factorization_absent=kron_factor(zp, m, n, tol) is None,
-        shift=shift,
+    zp, member, absent = _kron_certificate(
+        S, T, tol, lambda x, y: kron_vec(x, y) + ones_vector(x.dim * y.dim, x.mode)
     )
-    return zp, evidence
+    shift = Fraction(1) if zp.mode == RATIONAL else complex(1)
+    return zp, StrictConeEvidence(member, absent, shift)
 
 
 @dataclass(frozen=True)

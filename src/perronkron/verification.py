@@ -268,14 +268,16 @@ def _check_strict_containment(
     pairs: Dict[Tuple[str, str], _PairData],
     tol: Tolerance,
 ) -> None:
-    findings["strict_cone_containment_certificates"] = _holds(
-        perron.strict_cone_containment_certificate(pd.S, pd.T, tol)[1].holds
-        for _, pd in sorted(pairs.items())
+    certificates = {
+        key: perron.strict_cone_containment_certificate(pd.S, pd.T, tol)
+        for key, pd in sorted(pairs.items())
         if pd.K.mode == RATIONAL
+    }
+    findings["strict_cone_containment_certificates"] = _holds(
+        evidence.holds for _, evidence in certificates.values()
     )
 
-    h2 = families.hadamard_like(2)
-    zp, _ = perron.strict_cone_containment_certificate(h2, h2, tol)
+    zp, _ = certificates[("H2", "H2")]
     # The common denominator cancels from the sign of the reshape determinant.
     a, b, c, d = zp.array_form().num.tolist()
     findings["strict_certificate_reshape_det_nonzero"] = (a * d - b * c) != 0

@@ -3,8 +3,11 @@
 (`cones` hands integer arrays to its Bareiss kernel), the `entries` view
 is read only by its own members, an `IntegerForm` is built only by the
 two rational constructors, `perron` asks whether S is square only in
-`_checked_inverse`, and no module reaches numpy's `kron`, so `linalg._kron`
-is the one Kronecker kernel."""
+`_checked_inverse`, no module reaches numpy's `kron`, so `linalg._kron`
+is the one Kronecker kernel, a tolerance's eps is read outside `linalg`
+only by the LP's eps band and the report, and both strictness
+certificates come from `perron._kron_certificate`, the one place that
+calls `factor_cone_members` and `kron_factor`."""
 import ast
 from pathlib import Path
 
@@ -218,3 +221,99 @@ def test_the_scan_sees_a_numpy_kron_reference():
         "def g(a, b):\n    return linalg.kron(a, b), _kron(a, b), np.kron_vec\n"
     )
     assert _numpy_kron_references(source) == [(2, "kron"), (4, "f"), (5, None)]
+
+
+# Where a tolerance's eps may be read outside `linalg`, whose entry tests
+# hold every other comparison within eps: the LP's eps band and the
+# report's echo of the tolerance.
+EPS_READERS = {
+    "cones.py": {"_membership_system"},
+    "verification.py": {"run_verification_suite"},
+}
+
+
+def _eps_reads(source: str):
+    """(line, innermost enclosing function) of each read of `.eps`."""
+    return _sites(source, lambda node: (
+        isinstance(node, ast.Attribute)
+        and node.attr == "eps"
+        and isinstance(node.ctx, ast.Load)
+    ))
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "linalg.py"], ids=lambda p: p.name
+)
+def test_eps_is_read_outside_linalg_only_by_the_lp_and_the_report(path):
+    allowed = EPS_READERS.get(path.name, set())
+    reads = _eps_reads(path.read_text(encoding="utf-8"))
+    assert [(line, func) for line, func in reads if func not in allowed] == []
+
+
+def test_the_scan_sees_an_eps_read():
+    source = (
+        "def has_unit_inf_norm(x, tol):\n    return abs(x - 1.0) <= tol.eps\n"
+        "def f(tol):\n    tol.eps = 0\n    return tol.epsilon\n"
+        "band = Tolerance().eps\n"
+    )
+    assert _eps_reads(source) == [(2, "has_unit_inf_norm"), (6, None)]
+
+
+# Both strictness certificates are built by one construction in `perron`:
+# only it finds the factors' cone members and asks for a factorization.
+KRON_CERTIFICATE_CALLEES = {"factor_cone_members", "kron_factor"}
+
+
+def _certificate_calls(source: str):
+    """(line, innermost enclosing function) of each call of
+    `factor_cone_members` or `kron_factor`, by name or as an attribute."""
+    return _sites(source, lambda node: (
+        isinstance(node, ast.Call)
+        and (getattr(node.func, "id", None) in KRON_CERTIFICATE_CALLEES
+             or getattr(node.func, "attr", None) in KRON_CERTIFICATE_CALLEES)
+    ))
+
+
+def test_certificate_members_and_factorizations_come_from_one_construction():
+    calls = [
+        (path.name, line, func)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for line, func in _certificate_calls(path.read_text(encoding="utf-8"))
+    ]
+    assert calls
+    assert [(name, func) for name, _, func in calls] == [
+        ("perron.py", "_kron_certificate")
+    ] * len(calls)
+
+
+def test_the_scan_sees_a_certificate_call():
+    source = (
+        "def _kron_certificate(S, T):\n    return factor_cone_members(S, T)\n"
+        "def f(z):\n    return linalg.kron_factor(z, 2, 2)\n"
+        "g = kron_factor\n"
+        "absent = kron_factor(z, 2, 2) is None\n"
+    )
+    assert _certificate_calls(source) == [(2, "_kron_certificate"), (4, "f"), (6, None)]
+
+
+def _names_imported_from(source: str, module: str):
+    return sorted(
+        alias.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == module
+        for alias in node.names
+    )
+
+
+def test_cones_imports_only_the_certificate_construction_from_perron():
+    source = (PACKAGE / "cones.py").read_text(encoding="utf-8")
+    assert _names_imported_from(source, "perron") == ["_kron_certificate"]
+
+
+def test_the_scan_sees_a_relative_import():
+    source = (
+        "from .perron import in_spectracone, _kron_certificate\n"
+        "from perron import factor_cone_members\n"
+        "from .linalg import kron\n"
+    )
+    assert _names_imported_from(source, "perron") == ["_kron_certificate", "in_spectracone"]

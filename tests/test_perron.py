@@ -4,11 +4,13 @@ from fractions import Fraction
 import pytest
 
 from perronkron.cones import spectratope_strictness_certificate
-from perronkron.families import cycle_companion, dft, hadamard_like
+from perronkron.families import counterexample_factors, cycle_companion, dft, hadamard_like
 from perronkron.linalg import (
     Matrix,
     Tolerance,
     Vector,
+    has_unit_inf_norm,
+    inf_norm,
     inverse,
     is_entrywise_nonneg,
     kron,
@@ -34,6 +36,7 @@ from perronkron.perron import (
     verify_strong_certificate,
     witness_is_valid,
 )
+from test_kron_kernel import assert_same_bits
 
 H2 = hadamard_like(2)
 COUNTEREXAMPLE_S = kron(H2, Matrix.rational([[1, 2], [1, 1]]))
@@ -291,6 +294,42 @@ def test_tope_certificate_point_keeps_the_given_phi():
             assert evidence.holds
             if S.mode == "rational":
                 assert min(zp) > 1 - phi
+
+
+def test_certificate_points_are_the_closed_forms_bit_for_bit():
+    """Each certificate's point is its closed form built from the factors'
+    cone members, bit for bit (signed zeros too), and each evidence flag is
+    the direct decision on that point."""
+    for S, T in _certificate_pairs():
+        m, n = S.nrows, T.nrows
+        x, y, K_inv = factor_cone_members(S, T)
+        K = kron(S, T)
+        zp, evidence = strict_cone_containment_certificate(S, T)
+        assert_same_bits(zp, kron_vec(x, y) + ones_vector(m * n, S.mode))
+        assert evidence.member == in_spectracone(K, zp, Tolerance(), K_inv)
+        assert evidence.factorization_absent == (kron_factor(zp, m, n) is None)
+        z = kron_vec(x.scale(1 / inf_norm(x)), y.scale(1 / inf_norm(y)))
+        for phi in (Fraction(1, 2), Fraction(1, 3), Fraction(99, 100)):
+            zp, evidence = spectratope_strictness_certificate(S, T, phi=phi)
+            assert_same_bits(
+                zp, z.scale(phi) + ones_vector(m * n, S.mode).scale(1 - phi)
+            )
+            assert evidence.member_cone == in_spectracone(K, zp, Tolerance(), K_inv)
+            assert evidence.norm_is_one == has_unit_inf_norm(zp)
+            assert evidence.factorization_absent == (kron_factor(zp, m, n) is None)
+
+
+def test_certificates_check_their_arguments_in_order():
+    """Each certificate refuses a bad order before a bad phi, and both before
+    asking whether the factors are Perron similarities."""
+    one = Matrix.rational([[1]])
+    counterexample = kron(*counterexample_factors())
+    with pytest.raises(ValueError, match="strictness certificates require orders at least 2"):
+        spectratope_strictness_certificate(one, H2, phi=Fraction(1))
+    with pytest.raises(ValueError, match="phi and psi = 1 - phi must both be positive"):
+        spectratope_strictness_certificate(counterexample, H2, phi=Fraction(0))
+    with pytest.raises(ValueError, match="strict containment requires orders at least 2"):
+        strict_cone_containment_certificate(one, counterexample)
 
 
 def test_cone_inequalities_refuse_a_non_square_matrix():
