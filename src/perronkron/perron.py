@@ -12,9 +12,9 @@ The spectracone of an invertible S is the set of x with S diag(x) S^{-1}
 entrywise nonnegative; the spectratope additionally requires infinity
 norm exactly 1.  S is a Perron similarity when some column of S and the
 matching row of S^{-1} are both nonnegative or both nonpositive.
-Every function that accepts a precomputed inverse ``sinv`` takes it from
-``_checked_inverse``, the one place a malformed operand is refused.  In
-order, it checks that S is square (``similarity_image`` and
+Every function that accepts a precomputed inverse ``sinv`` (or ``tinv``
+of a second factor T) takes it from ``_checked_inverse``, the one place
+a malformed operand is refused.  In order, it checks that S is square (``similarity_image`` and
 ``in_spectracone`` say "similarity images require square matrices",
 ``cone_inequalities`` "cone inequalities ..." and ``find_perron_witness``
 "Perron witnesses ...", the rest "only square matrices are invertible"),
@@ -247,14 +247,20 @@ def make_totally_nonzero(
 
 
 def factor_cone_members(
-    S: Matrix, T: Matrix, tol: Tolerance = Tolerance()
+    S: Matrix,
+    T: Matrix,
+    tol: Tolerance = Tolerance(),
+    sinv: Optional[Matrix] = None,
+    tinv: Optional[Matrix] = None,
 ) -> Tuple[Vector, Vector, Matrix]:
     """Totally nonzero, non-constant x in C(S) and y in C(T), built from the
     factors' witnesses, and the inverse of S (x) T.
 
-    Raises ValueError unless both factors are Perron similarities.
+    Pass precomputed inverses ``sinv`` of S and ``tinv`` of T to skip
+    elimination.  Raises ValueError unless both factors are Perron
+    similarities.
     """
-    S_inv, T_inv = inverse(S), inverse(T)
+    S_inv, T_inv = _checked_inverse(S, sinv), _checked_inverse(T, tinv)
     wS = find_perron_witness(S, tol, S_inv)
     wT = find_perron_witness(T, tol, T_inv)
     if wS is None or wT is None:
@@ -266,17 +272,23 @@ def factor_cone_members(
 
 
 def _kron_certificate(
-    S: Matrix, T: Matrix, tol: Tolerance, point: Callable[[Vector, Vector], Vector]
+    S: Matrix,
+    T: Matrix,
+    tol: Tolerance,
+    point: Callable[[Vector, Vector], Vector],
+    sinv: Optional[Matrix] = None,
+    tinv: Optional[Matrix] = None,
 ) -> Tuple[Vector, bool, bool]:
     """The one construction behind both strictness certificates.
 
     Forms zp = point(x, y) from the ``factor_cone_members`` x and y, and
     returns zp, whether it lies in C(S (x) T) (decided through
     S^{-1} (x) T^{-1}), and whether it admits no Kronecker factorization
-    (its reshape to S.nrows rows has rank above 1).  The callers check
+    (its reshape to S.nrows rows has rank above 1).  ``sinv`` and
+    ``tinv``, when given, are the inverses of S and T.  The callers check
     their own arguments first.
     """
-    x, y, K_inv = factor_cone_members(S, T, tol)
+    x, y, K_inv = factor_cone_members(S, T, tol, sinv, tinv)
     zp = point(x, y)
     member = in_spectracone(kron(S, T), zp, tol, K_inv)
     return zp, member, kron_factor(zp, S.nrows, T.nrows, tol) is None
@@ -296,19 +308,29 @@ class StrictConeEvidence:
 
 
 def strict_cone_containment_certificate(
-    S: Matrix, T: Matrix, tol: Tolerance = Tolerance()
+    S: Matrix,
+    T: Matrix,
+    tol: Tolerance = Tolerance(),
+    sinv: Optional[Matrix] = None,
+    tinv: Optional[Matrix] = None,
 ) -> Tuple[Vector, StrictConeEvidence]:
     """Certificate that C(S) (x) C(T) is strictly inside C(S (x) T).
 
     Builds non-constant x in C(S) and y in C(T) with entries 2 and 3, forms
     z = x (x) y >= 4, and shifts it by e to a totally nonzero vector in the
     product cone that admits no Kronecker factorization (its reshape has
-    rank above 1).
+    rank above 1).  Pass precomputed inverses ``sinv`` of S and ``tinv`` of
+    T to skip elimination.
     """
     if S.nrows < 2 or T.nrows < 2:
         raise ValueError("strict containment requires orders at least 2")
     zp, member, absent = _kron_certificate(
-        S, T, tol, lambda x, y: kron_vec(x, y) + ones_vector(x.dim * y.dim, x.mode)
+        S,
+        T,
+        tol,
+        lambda x, y: kron_vec(x, y) + ones_vector(x.dim * y.dim, x.mode),
+        sinv,
+        tinv,
     )
     shift = Fraction(1) if zp.mode == RATIONAL else complex(1)
     return zp, StrictConeEvidence(member, absent, shift)

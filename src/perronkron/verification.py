@@ -13,6 +13,7 @@ failing case changes no later draw from the seeded generator.
 from __future__ import annotations
 
 import math
+import operator
 import random
 from fractions import Fraction
 from itertools import chain
@@ -137,25 +138,35 @@ def _decide_kron_samples(
 
 
 def _check_index_lemmas(findings: Dict[str, object]) -> None:
-    findings["division_identity_grid"] = _holds(
-        division_identity_holds(i, n)
+    # Each grid is decided one row of n at a time, in the order of its
+    # cases: every case is still one entry of an ``indexing`` expression.
+    findings["division_identity_grid"] = _holds(chain.from_iterable(
+        division_identity_holds(range(-1000, 1001), n).tolist()
         for n in range(1, 65)
-        for i in range(-1000, 1001)
-    )
+    ))
     # Each distinct case of the m, n <= 32 grid once.
     findings["fold_unfold_roundtrip"] = _holds(chain(
-        (
-            fold_index(unfold_index(i, n), n) == i
-            for n in range(1, 33)
-            for i in range(1, 32 * n + 1)
+        chain.from_iterable(
+            _fold_unfold_verdicts(range(1, 32 * n + 1), n) for n in range(1, 33)
         ),
-        (
-            unfold_index(fold_index(IndexPair(k, ell), n), n) == (k, ell)
-            for n in range(1, 33)
-            for k in range(1, 33)
-            for ell in range(1, n + 1)
+        chain.from_iterable(
+            _unfold_fold_verdicts(n) for n in range(1, 33)
         ),
     ))
+
+
+def _fold_unfold_verdicts(flat: range, n: int) -> List[bool]:
+    """Whether fold_index(unfold_index(i, n), n) == i for each i of ``flat``."""
+    return list(map(operator.eq, fold_index(unfold_index(flat, n), n).tolist(), flat))
+
+
+def _unfold_fold_verdicts(n: int) -> List[bool]:
+    """Whether unfold_index(fold_index((k, l), n), n) == (k, l) for each
+    k <= 32 and l <= n, k major; the grid is built from ranges."""
+    ks = [k for k in range(1, 33) for _ in range(n)]
+    ells = list(range(1, n + 1)) * 32
+    outer, inner = unfold_index(fold_index(IndexPair(ks, ells), n), n)
+    return ((outer == ks) & (inner == ells)).tolist()
 
 
 def _row_extractions(rng: random.Random) -> Iterator[bool]:
@@ -269,7 +280,9 @@ def _check_strict_containment(
     tol: Tolerance,
 ) -> None:
     certificates = {
-        key: perron.strict_cone_containment_certificate(pd.S, pd.T, tol)
+        key: perron.strict_cone_containment_certificate(
+            pd.S, pd.T, tol, pd.S_inv, pd.T_inv
+        )
         for key, pd in sorted(pairs.items())
         if pd.K.mode == RATIONAL
     }

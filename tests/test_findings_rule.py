@@ -121,3 +121,47 @@ def test_a_mismatched_row_image_fails_only_its_finding(monkeypatch):
     failing = {}
     verification._check_digraphs(failing, Tolerance())
     assert failing == dict(passing, dft_extremal_row_images=False)
+
+
+def _record_verdicts(monkeypatch):
+    """Patch ``verification._holds`` to keep each finding's verdicts, in the
+    order it decides them; returns the list of those verdict lists."""
+    real, seen = verification._holds, []
+
+    def spy(verdicts):
+        verdicts = list(verdicts)
+        seen.append(verdicts)
+        return real(iter(verdicts))
+
+    monkeypatch.setattr(verification, "_holds", spy)
+    return seen
+
+
+def test_the_index_lemmas_decide_every_case(monkeypatch):
+    seen = _record_verdicts(monkeypatch)
+    findings = {}
+    verification._check_index_lemmas(findings)
+    # 64 moduli times i in [-1000, 1000]; both round trips over m, n <= 32.
+    assert [len(verdicts) for verdicts in seen] == [128_064, 33_792]
+    assert all(v is True for verdicts in seen for v in verdicts)
+    assert findings == {"division_identity_grid": True, "fold_unfold_roundtrip": True}
+
+
+def test_one_false_division_case_fails_the_report(monkeypatch):
+    passing = verification.run_verification_suite(42)
+    real = verification.division_identity_holds
+
+    def one_false(i, n):
+        verdicts = real(i, n)
+        if n == 4:
+            verdicts[list(i).index(7)] = False
+        return verdicts
+
+    monkeypatch.setattr(verification, "division_identity_holds", one_false)
+    seen = _record_verdicts(monkeypatch)
+    failing = verification.run_verification_suite(42)
+    # The cases run n-major, i-minor: (i, n) = (7, 4) is case 3 * 2001 + 1007.
+    assert [j for j, v in enumerate(seen[0]) if not v] == [3 * 2001 + 1007]
+    assert passing["status"] == "pass"
+    assert failing["status"] == "fail"
+    assert failing["findings"] == dict(passing["findings"], division_identity_grid=False)

@@ -1,6 +1,8 @@
 """Source hygiene: no library module imports a name it never uses, only
-`linalg` and `cones` import numpy, so the array format stays behind `linalg`
-(`cones` hands integer arrays to its Bareiss kernel), the `entries` view
+`linalg`, `cones` and `indexing` import numpy, so the array format stays
+behind `linalg` (`cones` hands integer arrays to its Bareiss kernel, and
+`indexing` takes index grids elementwise: 1-D integer grids, not the matrix
+array format that `linalg` hides), the `entries` view
 is read only by its own members, an `IntegerForm` is built only by the
 two rational constructors, `perron` asks whether S is square only in
 `_checked_inverse`, no module reaches numpy's `kron`, so `linalg._kron`
@@ -57,7 +59,7 @@ def _imports_numpy(source: str) -> bool:
 def test_only_linalg_and_cones_import_numpy():
     sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
     users = sorted(name for name, source in sources.items() if _imports_numpy(source))
-    assert users == ["cones.py", "linalg.py"]
+    assert users == ["cones.py", "indexing.py", "linalg.py"]
 
 
 @pytest.mark.parametrize("source, expected", [

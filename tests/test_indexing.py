@@ -87,3 +87,105 @@ def test_fold_unfold_roundtrip(m, n, data):
 def test_division_identity_refuses_a_zero_modulus():
     with pytest.raises(ValueError, match="modulus must be positive, got 0"):
         division_identity_holds(3, 0)
+
+
+# Grids, taken elementwise: each function's result on a grid is the list of
+# its int results, entry by entry.  Entries and n run past int64, where the
+# grid is computed on Python ints.
+INTS = st.integers(-(2**70), 2**70)
+MODULI = st.one_of(st.integers(1, 64), st.integers(1, 2**70))
+RANGES = st.builds(
+    range,
+    st.integers(-2000, 2000),
+    st.integers(-2000, 2000),
+    st.integers(-7, 7).filter(bool),
+)
+GRIDS = st.one_of(RANGES, st.lists(INTS, max_size=40))
+
+
+def _positive(grid):
+    return [abs(i) + 1 for i in grid]
+
+
+def _refusal(call):
+    with pytest.raises(ValueError) as info:
+        call()
+    return str(info.value)
+
+
+@given(GRIDS, MODULI)
+def test_division_identity_grid_matches_scalar_calls(grid, n):
+    assert division_identity_holds(grid, n).tolist() == [
+        division_identity_holds(i, n) for i in grid
+    ]
+
+
+@given(GRIDS, MODULI)
+def test_unfold_grid_matches_scalar_calls(grid, n):
+    grid = _positive(grid)
+    outer, inner = unfold_index(grid, n)
+    assert list(zip(outer.tolist(), inner.tolist())) == [unfold_index(i, n) for i in grid]
+
+
+@given(MODULI, st.data())
+def test_fold_grid_matches_scalar_calls(n, data):
+    ks = _positive(data.draw(GRIDS))
+    ells = data.draw(st.lists(st.integers(1, n), min_size=len(ks), max_size=len(ks)))
+    assert fold_index(IndexPair(ks, ells), n).tolist() == [
+        fold_index(IndexPair(k, ell), n) for k, ell in zip(ks, ells)
+    ]
+
+
+@pytest.mark.parametrize("grid, n", [
+    (range(2**63 - 3, 2**63 + 3), 5),
+    (range(-(2**63) - 2, -(2**63) + 2), 3),
+    ([2**62, 2**63 - 1], 4),
+    (range(1, 40), 2**62),
+])
+def test_grids_past_int64_stay_exact(grid, n):
+    assert division_identity_holds(grid, n).tolist() == [True] * len(grid)
+    if min(grid) >= 1:
+        outer, inner = unfold_index(grid, n)
+        assert list(zip(outer.tolist(), inner.tolist())) == [unfold_index(i, n) for i in grid]
+        ells = [min(i, n) for i in grid]
+        assert fold_index(IndexPair(grid, ells), n).tolist() == [
+            fold_index(IndexPair(i, ell), n) for i, ell in zip(grid, ells)
+        ]
+
+
+@given(INTS, st.integers(1, 2**70))
+def test_an_int_index_returns_python_scalars(i, n):
+    assert type(division_identity_holds(i, n)) is bool
+    i = abs(i) + 1
+    pair = unfold_index(i, n)
+    assert type(pair) is IndexPair
+    assert [type(v) for v in pair] == [int, int]
+    assert type(fold_index(pair, n)) is int
+
+
+@given(MODULI, st.data())
+def test_a_grid_with_one_bad_entry_refuses_as_its_scalar_call(n, data):
+    grid = _positive(data.draw(GRIDS))
+    at = data.draw(st.integers(0, len(grid)))
+    bad = data.draw(st.integers(-(2**70), 0))
+    flat = grid[:at] + [bad] + grid[at:]
+    assert _refusal(lambda: unfold_index(flat, n)) == _refusal(lambda: unfold_index(bad, n))
+
+    ks = [1] * len(grid)
+    ells = [1] * len(grid)
+    for pair in (IndexPair(bad, 1), IndexPair(1, bad), IndexPair(1, n + 1 + abs(bad))):
+        grids = IndexPair(ks[:at] + [pair.outer] + ks[at:], ells[:at] + [pair.inner] + ells[at:])
+        assert _refusal(lambda: fold_index(grids, n)) == _refusal(lambda: fold_index(pair, n))
+
+
+def test_every_refusal_keeps_its_message():
+    assert _refusal(lambda: unfold_index(range(-1, 3), 4)) == "index must be positive, got -1"
+    assert _refusal(lambda: fold_index(IndexPair([1, 2], [5, 0]), 4)) == (
+        "indices must be positive, got IndexPair(outer=2, inner=0)"
+    )
+    assert _refusal(lambda: fold_index(IndexPair([1, 2], [5, 1]), 4)) == (
+        "inner index 5 exceeds inner dimension 4"
+    )
+    assert _refusal(lambda: division_identity_holds(range(3), 0)) == (
+        "modulus must be positive, got 0"
+    )

@@ -3,12 +3,14 @@ from fractions import Fraction
 
 import pytest
 
+from perronkron import perron
 from perronkron.cones import spectratope_strictness_certificate
 from perronkron.families import counterexample_factors, cycle_companion, dft, hadamard_like
 from perronkron.linalg import (
     Matrix,
     Tolerance,
     Vector,
+    basis_vector,
     has_unit_inf_norm,
     inf_norm,
     inverse,
@@ -150,8 +152,6 @@ def test_witness_membership_remark():
     # rank-one product (S e_k)(e_k^T S^{-1}) >= 0.
     for S in (H2, hadamard_like(3), dft(4)):
         w = find_perron_witness(S)
-        from perronkron.linalg import basis_vector
-
         e_k = basis_vector(S.nrows, w.index, S.mode)
         assert in_spectracone(S, e_k)
 
@@ -217,6 +217,22 @@ def test_strict_cone_containment_h2():
 def test_strict_cone_containment_mode_mismatch():
     with pytest.raises(Exception):
         strict_cone_containment_certificate(H2, dft(3))
+
+
+def test_strict_cone_containment_takes_the_factors_inverses(monkeypatch):
+    S, T = H2, hadamard_like(3)
+    expected = strict_cone_containment_certificate(S, T)
+    sinv, tinv = inverse(S), inverse(T)
+
+    def refuse(M):
+        raise AssertionError("a given inverse was recomputed")
+
+    monkeypatch.setattr(perron, "inverse", refuse)
+    assert strict_cone_containment_certificate(S, T, sinv=sinv, tinv=tinv) == expected
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        strict_cone_containment_certificate(S, T, sinv=sinv, tinv=sinv)
+    with pytest.raises(ValueError, match="mode"):
+        strict_cone_containment_certificate(S, T, sinv=sinv, tinv=tinv.to_complex())
 
 
 def test_strict_cone_containment_order_16():
