@@ -331,7 +331,7 @@ def enumerate_extreme_rays(M: Matrix) -> List[Vector]:
         image = rows @ k
         for sign in (1, -1):
             if (sign * image >= 0).all():
-                rays[Vector._rational(sign * k, int(abs(k).max()))] = None
+                rays[Vector._of_values(sign * k, RATIONAL, int(abs(k).max()))] = None
                 break
     return sorted(rays, key=lambda ray: [str(Fraction(p, q)) for p, q in ray.to_pairs()])
 

@@ -11,11 +11,13 @@ range or a 1-D sequence of ints, and one expression serves both: an int
 gives a Python int, bool or IndexPair of ints, a grid a 1-D array of the
 results.  The inner dimension n is always an int.  A refusal is decided
 over every entry and names the first entry that fails, as the int call
-would.  Grid arithmetic is exact: a grid whose entries times n could leave
-int64 is computed on Python ints.
+would.  Grid arithmetic is exact for a grid of any Python ints, mixed
+magnitudes included: a grid whose entries times n could leave int64 is
+computed on the entries' Python ints.
 """
 from __future__ import annotations
 
+import operator
 from typing import NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -53,7 +55,11 @@ def _grid(index: Index, n: int) -> Grid:
     grid = np.asarray(index)
     if grid.dtype == np.int64 and (not grid.size or _fits_int64((grid.min(), grid.max()), n)):
         return grid
-    return grid.astype(object)
+    if grid.dtype.kind in "iub":
+        return grid.astype(object)
+    # numpy holds ints that mix int64 and larger magnitudes as float64, so
+    # such a grid is built from its entries' own ints.
+    return np.array([operator.index(i) for i in index], dtype=object)
 
 
 def _first(bad, *entries) -> Optional[Tuple[object, ...]]:

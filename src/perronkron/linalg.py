@@ -21,10 +21,17 @@ Arrays are immutable: callers build a new array instead of mutating one.
 Numbers become an array only through ``from_pairs``: ``Vector`` and
 ``Matrix`` input, wire documents and the closed-form inverse's column
 scales all take it, and it clears rational pairs with ``_cleared``.
-Computed arrays become one only through ``_rational``, whose lowest-terms
-constructor every rational result passes, or ``_complex``.  ``_cleared``
-and ``_lowest_terms`` alone build an ``IntegerForm``, and
-``integer_product`` runs each integer operation in int64 or on Python ints.
+Computed values become an array only through one constructor,
+``_of_values``: it refuses an empty array and an unknown mode, puts
+rational numerators over their denominator in lowest terms and refuses a
+complex value that is not finite.  ``_cleared`` and ``_lowest_terms``
+alone build an ``IntegerForm``, and ``integer_product`` runs each integer
+operation in int64 or on Python ints.
+Every product of arrays is formed by ``_product``, which holds the
+per-mode product: matmul, ``kron``, ``face_split``, ``scale_columns`` and
+``scale``, which multiplies by the one-entry vector of its scalar.  Only
+the complex branches of ``inverse`` and ``kron_factor`` also call
+``_complex_product``, on columns of their own working arrays.
 ``kron`` and ``kron_vec`` form a product by ``_kron``: one broadcast
 product of every entry of one factor with every entry of the other,
 reshaped to the blockwise layout (A (x) B is a reshaped outer product, as
@@ -150,11 +157,6 @@ class IntegerForm(NamedTuple):
 _INT64_SAFE = 2**62
 
 
-def integer_form(rows) -> IntegerForm:
-    """Clear the denominators of rows of Fractions."""
-    return Matrix.rational(rows).array_form()
-
-
 def _cleared(
     ps: Sequence[int], qs: Sequence[int], shape, index: Optional[Iterable[int]] = None
 ) -> IntegerForm:
@@ -224,10 +226,10 @@ def _product(cls, a, b, op, terms: int = 1):
     if a.mode == COMPLEX:
         with np.errstate(over="ignore", invalid="ignore"):
             values = _complex_product(op, a._state, b._state)
-        return cls._complex(values)
+        return cls._of_values(values, COMPLEX)
     s, t = a._state, b._state
     num = integer_product(op, s.num, t.num, bound=s.bound * t.bound * terms)
-    return cls._rational(num, s.den * t.den)
+    return cls._of_values(num, RATIONAL, s.den * t.den)
 
 
 class _Array:
@@ -251,18 +253,6 @@ class _Array:
         array = object.__new__(cls)
         array.mode, array._state, array._entries = mode, state, None
         return array
-
-    @classmethod
-    def _of_ints(cls, values: np.ndarray, mode: str):
-        """The array of the int64 ``values`` in ``mode``, built without
-        coercing each entry."""
-        if not values.size:
-            raise ValueError(cls._empty_error)
-        if mode == RATIONAL:
-            return cls._rational(values, 1)
-        if mode == COMPLEX:
-            return cls._complex(values.astype(complex))
-        raise ValueError(f"unknown scalar mode {mode!r}")
 
     @classmethod
     def from_pairs(
@@ -291,7 +281,8 @@ class _Array:
         if mode == RATIONAL:
             ps, qs = zip(*pairs)
             return cls._of(RATIONAL, _cleared(ps, qs, shape, index))
-        return cls._complex(np.array(pairs, dtype=float).view(complex).reshape(shape))
+        values = np.array(pairs, dtype=float).view(complex).reshape(shape)
+        return cls._of_values(values, COMPLEX)
 
     def to_pairs(self) -> Iterator[Tuple]:
         """The entries, row-major, as the pairs ``from_pairs`` takes: each
@@ -320,18 +311,24 @@ class _Array:
         return zip((values // g).tolist(), (den // g).tolist()), index.ravel().tolist()
 
     @classmethod
-    def _rational(cls, num: np.ndarray, den: int):
-        """The rational array ``num / den`` in lowest terms."""
-        return cls._of(RATIONAL, _lowest_terms(num, den))
-
-    @classmethod
-    def _complex(cls, values: np.ndarray):
-        """The complex array of ``values``, which must all be finite."""
-        finite = np.isfinite(values)
-        if not finite.all():
-            first = complex(values.ravel()[np.flatnonzero(~finite.ravel())[0]])
-            raise ValueError(f"complex entries must be finite, got {first}")
-        return cls._of(COMPLEX, values)
+    def _of_values(cls, values: np.ndarray, mode: str, den: int = 1):
+        """The ``cls`` array of the computed ``values`` in ``mode``, built
+        without coercing each entry: in rational mode the integer numerators
+        ``values`` over the positive ``den``, put in lowest terms; in complex
+        mode ``values``, which must all be finite.  An empty array and an
+        unknown mode are refused."""
+        if not values.size:
+            raise ValueError(cls._empty_error)
+        if mode == RATIONAL:
+            return cls._of(RATIONAL, _lowest_terms(values, den))
+        if mode == COMPLEX:
+            values = values.astype(complex, copy=False)
+            finite = np.isfinite(values)
+            if not finite.all():
+                first = complex(values.ravel()[np.flatnonzero(~finite.ravel())[0]])
+                raise ValueError(f"complex entries must be finite, got {first}")
+            return cls._of(COMPLEX, values)
+        raise ValueError(f"unknown scalar mode {mode!r}")
 
     @classmethod
     def rational(cls, entries):
@@ -357,9 +354,7 @@ class _Array:
     def _with_values(self, cls, values: np.ndarray):
         """A ``cls`` array of ``values`` in this array's mode; rational values
         are numerators over this array's denominator."""
-        if self.mode == RATIONAL:
-            return cls._rational(values, self._den)
-        return cls._complex(values)
+        return cls._of_values(values, self.mode, self._den)
 
     @property
     def entries(self) -> list:
@@ -398,7 +393,7 @@ class _Array:
         if self.mode == COMPLEX:
             with np.errstate(over="ignore", invalid="ignore"):
                 values = (np.add if sign > 0 else np.subtract)(self._state, other._state)
-            return type(self)._complex(values)
+            return type(self)._of_values(values, COMPLEX)
         a, b = self._state, other._state
         den = math.lcm(a.den, b.den)
         fa, fb = den // a.den, sign * (den // b.den)
@@ -407,27 +402,20 @@ class _Array:
             a.num, fa, b.num, fb,
             bound=a.bound * fa + b.bound * abs(fb),
         )
-        return type(self)._rational(num, den)
+        return type(self)._of_values(num, RATIONAL, den)
 
     def scale(self, alpha: ScalarInput):
-        a = _coerce(alpha, self.mode)
-        if self.mode == COMPLEX:
-            with np.errstate(over="ignore", invalid="ignore"):
-                values = _complex_product(np.multiply, self._state, a)
-            return type(self)._complex(values)
-        s = self._state
-        num = integer_product(
-            np.multiply, s.num, a.numerator, bound=s.bound * abs(a.numerator)
-        )
-        return type(self)._rational(num, s.den * a.denominator)
+        """alpha times each entry: the product with the one-entry vector of
+        alpha, broadcast."""
+        return _product(type(self), self, Vector([alpha], self.mode), np.multiply)
 
     def to_complex(self):
         if self.mode == COMPLEX:
             return self
         num, den, _ = self._state
         # Python int true division rounds each num/den correctly.
-        values = [v / den for v in num.ravel().tolist()]
-        return type(self)._complex(np.array(values, dtype=complex).reshape(num.shape))
+        values = np.array([v / den for v in num.ravel().tolist()], dtype=complex)
+        return type(self)._of_values(values.reshape(num.shape), COMPLEX)
 
 
 def _fractions(values: list, den: int) -> list:
@@ -470,11 +458,11 @@ def basis_vector(n: int, k: int, mode: str = RATIONAL) -> Vector:
         raise ValueError(f"basis index {k} out of range for dimension {n}")
     values = np.zeros(n, dtype=np.int64)
     values[k - 1] = 1
-    return Vector._of_ints(values, mode)
+    return Vector._of_values(values, mode)
 
 
 def ones_vector(n: int, mode: str = RATIONAL) -> Vector:
-    return Vector._of_ints(np.ones(max(n, 0), dtype=np.int64), mode)
+    return Vector._of_values(np.ones(max(n, 0), dtype=np.int64), mode)
 
 
 class Matrix(_Array):
@@ -495,7 +483,7 @@ class Matrix(_Array):
 
     @classmethod
     def identity(cls, n: int, mode: str = RATIONAL) -> "Matrix":
-        return cls._of_ints(np.identity(max(n, 0), dtype=np.int64), mode)
+        return cls._of_values(np.identity(max(n, 0), dtype=np.int64), mode)
 
     @property
     def nrows(self) -> int:
@@ -746,7 +734,7 @@ def inverse(S: Matrix) -> Matrix:
             # S^-1 = d N^T diag(1/g): column j of N^T times d / g_j, g_j > 0.
             d = form.den
             scale = [(d // math.gcd(d, v), v // math.gcd(d, v)) for v in g]
-            return Matrix._rational(form.num.T, 1).scale_columns(
+            return Matrix._of_values(form.num.T, RATIONAL).scale_columns(
                 Vector.from_pairs(scale, (n,), RATIONAL)
             )
         aug = np.hstack([form.num, np.identity(n, dtype=int)]).astype(object)
@@ -755,7 +743,7 @@ def inverse(S: Matrix) -> Matrix:
             col = next(c for c, p in enumerate(pivots + [n]) if c != p)
             raise SingularMatrixError(f"no pivot in column {col + 1}")
         num = aug[:, n:] * (form.den if det > 0 else -form.den)
-        return Matrix._rational(num, abs(det))
+        return Matrix._of_values(num, RATIONAL, abs(det))
     aug = np.hstack([S.array_form(), np.identity(n)])
     with np.errstate(over="ignore", invalid="ignore"):
         for col in range(n):
@@ -774,7 +762,7 @@ def inverse(S: Matrix) -> Matrix:
                 raise ValueError(f"the pivot in column {col + 1} overflows complex division")
             rows = np.flatnonzero((aug[:, col] != 0) & (np.arange(n) != col))
             aug[rows] -= _complex_product(np.multiply, aug[rows, col][:, None], aug[col])
-    return Matrix._complex(aug[:, n:].copy())
+    return Matrix._of_values(aug[:, n:].copy(), COMPLEX)
 
 
 def p_norm(x: Vector, p: Union[int, float]) -> float:
@@ -881,13 +869,13 @@ def kron_factor(
         nonzero = _moduli(Z) > thresh
     if not nonzero.any():
         # z = 0 reshapes to the zero matrix (rank 0); any y works with x = 0.
-        return Vector([0] * m, z.mode), Vector([1] + [0] * (n - 1), z.mode)
+        return basis_vector(m, 1, z.mode).scale(0), basis_vector(n, 1, z.mode)
     i0, j0 = divmod(int(np.flatnonzero(nonzero)[0]), n)
     col, row = Z[:, j0], Z[i0]
     if z.mode == RATIONAL:
         p = int(Z[i0, j0])
-        x = Vector._rational(col, z._den)
-        y = Vector._rational(row if p > 0 else -row, abs(p))
+        x = Vector._of_values(col, RATIONAL, z._den)
+        y = Vector._of_values(row if p > 0 else -row, RATIONAL, abs(p))
         return (x, y) if kron_vec(x, y) == z else None
     # Python's complex division, which numpy's need not match.
     p = complex(Z[i0, j0])
@@ -896,4 +884,4 @@ def kron_factor(
         residual = _moduli(Z - _complex_product(np.outer, col, y))
     if (residual > thresh).any():
         return None
-    return Vector._complex(col), Vector._complex(y)
+    return Vector._of_values(col, COMPLEX), Vector._of_values(y, COMPLEX)

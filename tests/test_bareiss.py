@@ -21,10 +21,14 @@ from perronkron.linalg import (
     Vector,
     bareiss_eliminate,
     diag_embed,
-    integer_form,
     inverse,
     kron,
 )
+
+
+def integer_form(rows) -> linalg.IntegerForm:
+    """Clear the denominators of rows of Fractions."""
+    return Matrix.rational(rows).array_form()
 
 
 def _oracle_inverse(S: Matrix) -> Matrix:

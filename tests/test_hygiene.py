@@ -9,7 +9,8 @@ two rational constructors, `perron` asks whether S is square only in
 is the one Kronecker kernel, a tolerance's eps is read outside `linalg`
 only by the LP's eps band and the report, and both strictness
 certificates come from `perron._kron_certificate`, the one place that
-calls `factor_cone_members` and `kron_factor`."""
+calls `factor_cone_members` and `kron_factor`, and inside `linalg` only
+`_product`, `inverse` and `kron_factor` form a complex product by parts."""
 import ast
 from pathlib import Path
 
@@ -125,7 +126,7 @@ def test_the_scan_sees_an_entries_read():
 
 
 # Where a rational state is put together: every other path reaches one of
-# these two, through `from_pairs` (which clears) or `_rational` (which
+# these two, through `from_pairs` (which clears) or `_of_values` (which
 # reduces).
 INTEGER_FORM_BUILDERS = {"_cleared", "_lowest_terms"}
 
@@ -296,6 +297,39 @@ def test_the_scan_sees_a_certificate_call():
         "absent = kron_factor(z, 2, 2) is None\n"
     )
     assert _certificate_calls(source) == [(2, "_kron_certificate"), (4, "f"), (6, None)]
+
+
+# Where `linalg` forms a complex product by parts: `_product`, the one
+# per-mode product of every array operation, and the two computations that
+# multiply columns the array types do not hold, the complex Gauss-Jordan
+# update of `inverse` and the residual x y^T of `kron_factor`.
+COMPLEX_PRODUCT_CALLERS = {"_product", "inverse", "kron_factor"}
+
+
+def _complex_product_calls(source: str):
+    """(line, innermost enclosing function) of each call of
+    `_complex_product`, by name or as an attribute."""
+    return _sites(source, lambda node: (
+        isinstance(node, ast.Call)
+        and (getattr(node.func, "id", None) == "_complex_product"
+             or getattr(node.func, "attr", None) == "_complex_product")
+    ))
+
+
+def test_linalg_forms_complex_products_only_in_product_inverse_and_kron_factor():
+    calls = _complex_product_calls((PACKAGE / "linalg.py").read_text(encoding="utf-8"))
+    assert calls
+    assert [(line, func) for line, func in calls if func not in COMPLEX_PRODUCT_CALLERS] == []
+
+
+def test_the_scan_sees_a_complex_product_call():
+    source = (
+        "def _product(cls, a, b, op):\n    return _complex_product(op, a, b)\n"
+        "class A:\n    def scale(self, a):\n        return linalg._complex_product(m, self, a)\n"
+        "f = _complex_product\n"
+        "x = _complex_product(np.outer, c, y)\n"
+    )
+    assert _complex_product_calls(source) == [(2, "_product"), (5, "scale"), (7, None)]
 
 
 def _names_imported_from(source: str, module: str):

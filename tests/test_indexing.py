@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -189,3 +190,48 @@ def test_every_refusal_keeps_its_message():
     assert _refusal(lambda: division_identity_holds(range(3), 0)) == (
         "modulus must be positive, got 0"
     )
+
+
+# Grids that numpy alone would not hold exactly: ints that mix int64 and
+# larger magnitudes become float64 in `np.asarray`, and ints in
+# [2**63, 2**64) become uint64.
+EXACT_GRIDS = [
+    [1, 2**63],
+    [2**63, 2**63 + 1, 2**64 - 2, 2**64 - 1],
+    [3, 2**62 + 1, 2**63 + 5, 2**64, 2**64 + 7, 2**70 + 1],
+]
+
+
+def _python_scalars(values):
+    return [type(v) in (int, bool) for v in values] == [True] * len(values)
+
+
+@pytest.mark.parametrize("grid", EXACT_GRIDS, ids=["mixed", "uint64", "past-2**64"])
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_every_grid_of_python_ints_is_computed_exactly(grid, n):
+    holds = division_identity_holds(grid, n).tolist()
+    assert holds == [division_identity_holds(i, n) for i in grid]
+    assert _python_scalars(holds)
+
+    outer, inner = (part.tolist() for part in unfold_index(grid, n))
+    assert list(zip(outer, inner)) == [unfold_index(i, n) for i in grid]
+    assert _python_scalars(outer + inner)
+
+    ells = [min(i, n) for i in grid]
+    flat = fold_index(IndexPair(grid, ells), n).tolist()
+    assert flat == [fold_index(IndexPair(i, ell), n) for i, ell in zip(grid, ells)]
+    assert _python_scalars(flat)
+
+
+@pytest.mark.parametrize("index", [
+    np.int64(5),
+    np.array([5, 2**62 + 7]),
+    np.array([2**63, 2**64 - 1], dtype=np.uint64),
+], ids=["int64-scalar", "int64", "uint64"])
+@pytest.mark.parametrize("n", [3, 2**70])
+def test_numpy_integers_past_int64_stay_exact(index, n):
+    ints = np.ravel(index).tolist()
+    outer, inner = unfold_index(index, n)
+    pairs = list(zip(np.ravel(outer).tolist(), np.ravel(inner).tolist()))
+    assert pairs == [unfold_index(i, n) for i in ints]
+    assert _python_scalars([v for pair in pairs for v in pair])
