@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 import operator
 import random
-from fractions import Fraction
 from itertools import chain
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
@@ -78,18 +77,32 @@ def _holds(verdicts: Iterable[object]) -> bool:
     return not [v for v in verdicts if not v]
 
 
-def _random_fraction(rng: random.Random) -> Fraction:
-    return Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+def _reduced_pairs(p: int, denominators: int) -> List[Optional[Tuple[int, int]]]:
+    """Entry q of the list, for 1 <= q <= ``denominators``, is p/q as the
+    pair ``from_pairs`` takes: in lowest terms with a positive denominator,
+    so 2/2 is (1, 1) and 0/3 is (0, 1).  Entry 0 is unused."""
+    return [None] + [
+        (p // math.gcd(p, q), q // math.gcd(p, q)) for q in range(1, denominators + 1)
+    ]
+
+
+# The seeded rational draws, as pairs and with no Fraction built: a weight
+# is _WEIGHT[randint(0, 6)][randint(1, 3)], an entry
+# _ENTRY[randint(-6, 6) + 6][randint(1, 4)]; the numerator is drawn first.
+_WEIGHT = [_reduced_pairs(p, 3) for p in range(0, 7)]
+_ENTRY = [_reduced_pairs(p, 4) for p in range(-6, 7)]
+
+
+def _random_entries(rng: random.Random, count: int) -> List[Tuple[int, int]]:
+    return [_ENTRY[rng.randint(-6, 6) + 6][rng.randint(1, 4)] for _ in range(count)]
 
 
 def _random_rational_matrix(rng: random.Random, m: int, n: int) -> Matrix:
-    return Matrix.rational(
-        [[_random_fraction(rng) for _ in range(n)] for _ in range(m)]
-    )
+    return Matrix.from_pairs(_random_entries(rng, m * n), (m, n), RATIONAL)
 
 
 def _random_rational_vector(rng: random.Random, n: int) -> Vector:
-    return Vector.rational([_random_fraction(rng) for _ in range(n)])
+    return Vector.from_pairs(_random_entries(rng, n), (n,), RATIONAL)
 
 
 def _random_complex_vector(rng: random.Random, n: int) -> Vector:
@@ -108,15 +121,15 @@ def _kron_samples(
     Each sample draws S's weights, then T's; weights that are all zero
     become e_1.
     """
-    weights: Tuple[List[list], List[list]] = ([], [])
+    weights: Tuple[List[Tuple[int, int]], List[Tuple[int, int]]] = ([], [])
     for _ in range(count):
-        for rows, M in zip(weights, (S, T)):
-            w = [Fraction(rng.randint(0, 6), rng.randint(1, 3)) for _ in range(M.nrows)]
-            if all(v == 0 for v in w):
-                w[0] = Fraction(1)
-            rows.append(w)
-    X = Matrix.rational(weights[0]) @ S
-    Y = Matrix.rational(weights[1]) @ T
+        for pairs, M in zip(weights, (S, T)):
+            w = [_WEIGHT[rng.randint(0, 6)][rng.randint(1, 3)] for _ in range(M.nrows)]
+            if w.count((0, 1)) == len(w):
+                w[0] = (1, 1)
+            pairs += w
+    X = Matrix.from_pairs(weights[0], (count, S.nrows), RATIONAL) @ S
+    Y = Matrix.from_pairs(weights[1], (count, T.nrows), RATIONAL) @ T
     return X, Y, face_split(X.transpose(), Y.transpose()).transpose()
 
 
@@ -196,9 +209,12 @@ def _norm_products(rng: random.Random) -> Iterator[bool]:
 
 def _check_kron_identities(findings: Dict[str, object], rng: random.Random) -> None:
     m = n = 16
+    # Each factor's basis vectors are built once; each case still forms
+    # its own product and the basis vector it must equal.
+    e_m = [basis_vector(m, k) for k in range(1, m + 1)]
+    e_n = [basis_vector(n, ell) for ell in range(1, n + 1)]
     findings["basis_kron_identity"] = _holds(
-        kron_vec(basis_vector(m, k), basis_vector(n, ell))
-        == basis_vector(m * n, (k - 1) * n + ell)
+        kron_vec(e_m[k - 1], e_n[ell - 1]) == basis_vector(m * n, (k - 1) * n + ell)
         for k in range(1, m + 1)
         for ell in range(1, n + 1)
     )

@@ -9,8 +9,9 @@ two rational constructors, `perron` asks whether S is square only in
 is the one Kronecker kernel, a tolerance's eps is read outside `linalg`
 only by the LP's eps band and the report, and both strictness
 certificates come from `perron._kron_certificate`, the one place that
-calls `factor_cone_members` and `kron_factor`, and inside `linalg` only
-`_product`, `inverse` and `kron_factor` form a complex product by parts."""
+calls `factor_cone_members` and `kron_factor`, inside `linalg` only
+`_product`, `inverse` and `kron_factor` form a complex product by parts,
+and `verification` builds no `Fraction`."""
 import ast
 from pathlib import Path
 
@@ -330,6 +331,42 @@ def test_the_scan_sees_a_complex_product_call():
         "x = _complex_product(np.outer, c, y)\n"
     )
     assert _complex_product_calls(source) == [(2, "_product"), (5, "scale"), (7, None)]
+
+
+# `verification` draws its seeded rational cases as reduced integer pairs
+# that `from_pairs` takes, so it builds no `Fraction`.
+def _fraction_uses(source: str):
+    """(line, innermost enclosing function) of each import of `fractions`
+    and each reference to a `Fraction`, by name or as an attribute."""
+    return _sites(source, lambda node: (
+        isinstance(node, ast.Import)
+        and any(alias.name.split(".")[0] == "fractions" for alias in node.names)
+    ) or (
+        isinstance(node, ast.ImportFrom)
+        and node.level == 0
+        and (node.module or "").split(".")[0] == "fractions"
+    ) or (
+        isinstance(node, ast.Name) and node.id == "Fraction"
+    ) or (
+        isinstance(node, ast.Attribute) and node.attr == "Fraction"
+    ))
+
+
+def test_verification_builds_no_fraction():
+    source = (PACKAGE / "verification.py").read_text(encoding="utf-8")
+    assert _fraction_uses(source) == []
+
+
+def test_the_scan_sees_a_fraction_use():
+    source = (
+        "from fractions import Fraction\n"
+        "import fractions\n"
+        "def _random_fraction(rng):\n    return Fraction(rng.randint(-6, 6), 1)\n"
+        "def f():\n    return fractions.Fraction(1, 2)\n"
+        "from .fractions import pairs\n"
+        "g = Fractions\n"
+    )
+    assert _fraction_uses(source) == [(1, None), (2, None), (4, "_random_fraction"), (6, "f")]
 
 
 def _names_imported_from(source: str, module: str):
