@@ -13,14 +13,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from . import cones, digraph, families, perron, serialize
-from .linalg import Matrix, Tolerance, Vector, inverse, kron
+from .linalg import Matrix, Tolerance, Vector, check_exponent, inverse, kron
 from .verification import DEFAULT_SEED, report, run_verification_suite
 
 
@@ -101,27 +100,6 @@ def _check_gen_order(order: int) -> None:
         raise CliError(f"gen builds orders up to {MAX_GEN_ORDER}, not {order}")
 
 
-# The exponent of a decimal entry, in the grammar `Fraction` parses.
-_EXPONENT = re.compile(r"e[-+]?0*(\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
-
-
-def _check_exponent(part: str) -> None:
-    """Refuse an entry whose power of ten would have more decimal digits
-    than Python writes an int with (``sys.get_int_max_str_digits()``, or
-    its default 4300 where there is no cap): ``Fraction`` builds ``10**e``
-    before anything else, and for ``1e999999999`` it would not finish."""
-    match = _EXPONENT.search(part)
-    if match is None:
-        return
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
-    digits = match.group(1).replace("_", "")
-    if len(digits) > len(str(limit)) or int(digits) >= limit:
-        raise CliError(
-            f"circulant entry exponents must stay below {limit} in magnitude, "
-            f"not {match.group(0).strip()[:40]!r}"
-        )
-
-
 def _cmd_gen(args) -> int:
     family = args.family
     if family == "hadamard":
@@ -142,7 +120,7 @@ def _cmd_gen(args) -> int:
         parts = args.arg.split(",")
         _check_gen_order(len(parts))
         for part in parts:
-            _check_exponent(part)
+            check_exponent(part)
         try:
             first_row = [Fraction(part) for part in parts]
         except ZeroDivisionError as exc:

@@ -43,10 +43,10 @@ from .linalg import (
     ModeMismatchError,
     Tolerance,
     Vector,
-    _INT64_SAFE,
-    bareiss_eliminate,
     has_unit_inf_norm,
     inf_norm,
+    integer_array,
+    integer_kernel,
     integer_product,
     kron_vec,
     ones_vector,
@@ -116,8 +116,10 @@ def _phase_one_feasible(
     artificial column the reduced cost of a structural column equal to it.
     Every row stays in lowest terms: the rank-1 update divides out each
     updated row's gcd, and the pivot row needs none, because it holds its
-    old denominator at its old basic column.  The array is int64 while
-    ``integer_product`` admits the update, and Python ints from then on.
+    old denominator at its old basic column.  The array starts as
+    ``integer_array`` stores it, int64 when its entries allow; it stays
+    int64 while ``integer_product`` admits the update, and is Python ints
+    from then on.
     """
     m = len(system)
     if not m:
@@ -151,8 +153,7 @@ def _phase_one_feasible(
     T[m] = np.array([obj_den // q for q in dens], dtype=object) @ T[:m]
     T[m, den] = obj_den
     T[m] //= np.gcd.reduce(T[m])
-    if abs(T).max() < _INT64_SAFE:
-        T = T.astype(np.int64)
+    T = integer_array(T, abs(T).max())
     basis = list(range(n, n + m))
     while True:
         # Denominators are positive, so each sign is the numerator's.
@@ -300,9 +301,9 @@ def enumerate_extreme_rays(M: Matrix) -> List[Vector]:
     Naive double-description cross-check: every (n-1)-subset of distinct
     constraint directions with a one-dimensional kernel whose kernel vector
     (or its negation) satisfies all constraints yields a candidate ray.
-    The kernel vector is read off one Bareiss elimination of the subset as
-    an integer vector k, with the last pivot (made positive) at the free
-    column; each ray is k / max|k|.  Rational mode only; intended for
+    ``integer_kernel`` reads the kernel vector off one Bareiss elimination
+    of the subset as an integer vector k whose free entry, the last pivot,
+    is positive; each ray is k / max|k|.  Rational mode only; intended for
     small n.
     """
     if M.mode != RATIONAL:
@@ -319,15 +320,9 @@ def enumerate_extreme_rays(M: Matrix) -> List[Vector]:
     rows = rows.reshape(-1, n)
     rays = {}
     for subset in combinations(range(len(rows)), n - 1):
-        A = rows[list(subset)]
-        pivots, det = bareiss_eliminate(A)
-        if len(pivots) != n - 1:
+        k = integer_kernel(rows[list(subset)])
+        if k is None:
             continue
-        free = (set(range(n)) - set(pivots)).pop()
-        k = np.empty(n, dtype=object)
-        k[free], k[pivots] = det, -A[:, free]
-        if det < 0:
-            k = -k
         image = rows @ k
         for sign in (1, -1):
             if (sign * image >= 0).all():

@@ -1,8 +1,11 @@
 """Dense matrices and vectors over exact rationals or complex floats.
 
 Two scalar modes exist and never mix silently: ``"rational"`` entries are
-``fractions.Fraction`` and all comparisons are exact; ``"complex"`` entries
-are Python ``complex`` and comparisons use a tolerance.
+exact, integer numerators over one denominator that read as
+``fractions.Fraction`` only through a view, and all comparisons are exact;
+``"complex"`` entries are Python ``complex`` and comparisons use a
+tolerance.  A ``str`` rational entry passes ``check_exponent``, which
+refuses a power of ten too long to write, before ``Fraction`` parses it.
 
 The only state of a rational ``Vector`` or ``Matrix`` is its
 ``IntegerForm``: a numerator array over one positive denominator in lowest
@@ -19,14 +22,17 @@ a rational array's entries back.
 Arrays are immutable: callers build a new array instead of mutating one.
 
 Numbers become an array only through ``from_pairs``: ``Vector`` and
-``Matrix`` input, wire documents and the closed-form inverse's column
-scales all take it, and it clears rational pairs with ``_cleared``.
+``Matrix`` input, wire documents, the closed-form inverse's column scales
+and ``verification``'s seeded rational draws all take it, and it clears
+rational pairs with ``_cleared``.
 Computed values become an array only through one constructor,
 ``_of_values``: it refuses an empty array and an unknown mode, puts
 rational numerators over their denominator in lowest terms and refuses a
 complex value that is not finite.  ``_cleared`` and ``_lowest_terms``
-alone build an ``IntegerForm``, and ``integer_product`` runs each integer
-operation in int64 or on Python ints.
+alone build an ``IntegerForm``, ``integer_array`` stores an integer array
+in int64 or on Python ints by its bound, for the state and for the simplex
+tableau in ``cones``, and ``integer_product`` runs each integer operation
+in int64 or on Python ints.
 Every product of arrays is formed by ``_product``, which holds the
 per-mode product: matmul, ``kron``, ``face_split``, ``scale_columns`` and
 ``scale``, which multiplies by the one-entry vector of its scalar.  Only
@@ -51,8 +57,9 @@ update of every other row, the update the simplex in ``cones`` pivots its
 tableau by.  Every entry it produces is a minor of its input, so each
 division it makes is exact and no gcd is taken.  The rational ``inverse``
 runs it on ``[N | I]``, where ``N`` is the numerator array of the matrix,
-unless ``N`` has pairwise orthogonal nonzero rows; ``cones`` reads integer
-kernel vectors off it.  Orthogonal rows are the paper's case:
+unless ``N`` has pairwise orthogonal nonzero rows, and ``integer_kernel``
+reads an integer kernel vector off it for the ray scan in ``cones``.  Only
+these two read its echelon layout.  Orthogonal rows are the paper's case:
 Sylvester Hadamard matrices have them, and a Kronecker product keeps them
 (C. F. Van Loan, "The ubiquitous Kronecker product", J. Comput. Appl. Math.
 123 (2000)).  When the Gram matrix ``N N^T`` is diagonal, the inverse is
@@ -81,6 +88,8 @@ transform", IEEE Trans. Comput. C-25 (1976)).
 from __future__ import annotations
 
 import math
+import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import (
@@ -122,10 +131,34 @@ class Tolerance:
             raise ValueError(f"tolerance must be finite and nonnegative, not {self.eps}")
 
 
+# The exponent of a decimal entry, in the grammar `Fraction` parses.
+_EXPONENT = re.compile(r"e[-+]?0*(\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
+
+
+def check_exponent(text: str) -> None:
+    """Refuse rational text whose power of ten would have more decimal
+    digits than Python writes an int with (``sys.get_int_max_str_digits()``,
+    or its default 4300 where there is no cap): ``Fraction`` builds
+    ``10**e`` before anything else, and for ``1e999999999`` it would not
+    finish."""
+    match = _EXPONENT.search(text)
+    if match is None:
+        return
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+    digits = match.group(1).replace("_", "")
+    if len(digits) > len(str(limit)) or int(digits) >= limit:
+        raise ValueError(
+            f"rational entry exponents must stay below {limit} in magnitude, "
+            f"not {match.group(0).strip()[:40]!r}"
+        )
+
+
 def _coerce(value: ScalarInput, mode: str):
     if mode == RATIONAL:
         if isinstance(value, Fraction):
             return value
+        if isinstance(value, str):
+            check_exponent(value)
         if isinstance(value, (int, str)):
             return Fraction(value)
         raise TypeError(f"cannot use {value!r} as a rational entry")
@@ -173,10 +206,18 @@ def _cleared(
     den = math.lcm(*set(qs))
     num = ps if den == 1 else [p * (den // q) for p, q in zip(ps, qs)]
     bound = max(map(abs, num))
-    num = np.array(num, dtype=np.int64 if bound < _INT64_SAFE else object)
+    num = integer_array(num, bound)
     if index is not None:
         num = num[np.fromiter(index, dtype=np.intp, count=math.prod(shape))]
     return IntegerForm(num.reshape(shape), den, bound)
+
+
+def integer_array(values, bound: int) -> np.ndarray:
+    """``values``, integers at most ``bound`` in magnitude, as an int64
+    array when ``bound`` is below ``_INT64_SAFE`` and as an ``object``
+    array of Python ints otherwise; an array whose dtype already fits is
+    returned as it is, not copied."""
+    return np.asarray(values, dtype=np.int64 if bound < _INT64_SAFE else object)
 
 
 def integer_product(op, *operands, bound: int) -> np.ndarray:
@@ -203,8 +244,7 @@ def _lowest_terms(num: np.ndarray, den: int) -> IntegerForm:
         g = math.gcd(int(np.gcd.reduce(num, axis=None)), den)
         if g != 1:
             num, den, bound = num // g, den // g, bound // g
-    dtype = np.int64 if bound < _INT64_SAFE else object
-    return IntegerForm(num if num.dtype == dtype else num.astype(dtype), den, bound)
+    return IntegerForm(integer_array(num, bound), den, bound)
 
 
 def _complex_product(op, a, b) -> np.ndarray:
@@ -267,15 +307,16 @@ class _Array:
 
         This is the one way numbers become an array: ``Vector`` and
         ``Matrix`` pass their coerced input, the wire decoder each distinct
-        entry once with one index per entry, and the rational ``inverse``
-        its column scales.  In rational mode a pair is ``(p, q)``, ints for
-        the fraction p/q in lowest terms with q > 0, and the pairs are
-        cleared to numerators over ``lcm(q)``.  With ``index``, one position
-        per entry and rational mode only, each pair is cleared once and the
-        numerators are gathered with one numpy indexing; every pair must be
-        some entry's.  In complex mode a pair is ``(re, im)``, floats that go
-        straight into the complex array, which must be finite.  No entry is
-        coerced on its own.  The caller has checked that ``pairs`` is not
+        entry once with one index per entry, the rational ``inverse`` its
+        column scales, and ``verification`` its seeded rational draws.  In
+        rational mode a pair is ``(p, q)``, ints for the fraction p/q in
+        lowest terms with q > 0, and the pairs are cleared to numerators
+        over ``lcm(q)``.  With ``index``, one position per entry and
+        rational mode only, each pair is cleared once and the numerators are
+        gathered with one numpy indexing; every pair must be some entry's.
+        In complex mode a pair is ``(re, im)``, floats that go straight into
+        the complex array, which must be finite.  No entry is coerced on its
+        own.  The caller has checked that ``pairs`` is not
         empty, that the entries fill ``shape`` and that ``mode`` is known.
         """
         if mode == RATIONAL:
@@ -678,6 +719,25 @@ def bareiss_eliminate(M: np.ndarray) -> Tuple[List[int], int]:
         pivots.append(c)
         prev = p
     return pivots, prev
+
+
+def integer_kernel(A: np.ndarray) -> Optional[np.ndarray]:
+    """The integer kernel vector k of an (n-1)-by-n ``object`` array of
+    Python ints of rank n - 1, or None when its rank is lower.
+
+    ``A`` is eliminated in place by ``bareiss_eliminate``.  Then each pivot
+    row reads ``last * x[pivot] + row[free] * x[free] = 0``, so k holds the
+    last pivot at the free column and minus the free column at the pivot
+    columns, all negated when the last pivot is negative: its free entry is
+    positive."""
+    n = A.shape[1]
+    pivots, last = bareiss_eliminate(A)
+    if len(pivots) != n - 1:
+        return None
+    free = (set(range(n)) - set(pivots)).pop()
+    k = np.empty(n, dtype=object)
+    k[free], k[pivots] = last, -A[:, free]
+    return -k if last < 0 else k
 
 
 def _orthogonal_row_norms(num: np.ndarray, bound: int) -> Optional[List[int]]:

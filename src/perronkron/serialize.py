@@ -131,9 +131,5 @@ def matrix_from_json(text: str) -> Matrix:
     return matrix_from_dict(json.loads(text))
 
 
-def vector_to_json(x: Vector) -> str:
-    return json.dumps(vector_to_dict(x))
-
-
 def vector_from_json(text: str) -> Vector:
     return vector_from_dict(json.loads(text))

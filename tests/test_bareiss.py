@@ -21,6 +21,7 @@ from perronkron.linalg import (
     Vector,
     bareiss_eliminate,
     diag_embed,
+    integer_kernel,
     inverse,
     kron,
 )
@@ -458,3 +459,72 @@ def test_rank_one_step_matches_the_row_loop():
     assert events == {"column without pivot", "p == prev", "p != prev", "zero in pivot column"}
     assert shapes == {-1, 0, 1}
 
+
+
+# --- the integer kernel vector ------------------------------------------------
+
+
+def _inline_kernel(A, events):
+    """The kernel read ``cones.enumerate_extreme_rays`` made inline before
+    ``linalg.integer_kernel``, on an (n-1)-by-n array eliminated in place.
+    ``events`` collects which outcomes ran."""
+    n = A.shape[1]
+    pivots, det = bareiss_eliminate(A)
+    if len(pivots) != n - 1:
+        events.add("rank below n - 1")
+        return None
+    free = (set(range(n)) - set(pivots)).pop()
+    k = np.empty(n, dtype=object)
+    k[free], k[pivots] = det, -A[:, free]
+    if det < 0:
+        events.add("negative last pivot")
+        k = -k
+    else:
+        events.add("positive last pivot")
+    return k
+
+
+def _kernel_systems():
+    """Seeded (n-1)-by-n integer systems for n = 2..8: dense and sparse,
+    rank-deficient, and with entries past 2**62."""
+    rng = random.Random(32)
+    huge = [2**62, 2**62 + 1, -(2**63), 2**80 + 7, 0, 1, -1]
+    for n in range(2, 9):
+        for trial in range(16):
+            kind = trial % 4
+            if kind == 0:
+                rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n - 1)]
+            elif kind == 1:
+                rows = [[rng.choice([0, 0, 1, -1]) for _ in range(n)] for _ in range(n - 1)]
+            elif kind == 2:
+                rank = rng.randint(0, n - 2)
+                rows = integer_form(_random_rows(rng, n - 1, n, rank)).num.tolist()
+            else:
+                rows = [[rng.choice(huge) for _ in range(n)] for _ in range(n - 1)]
+            yield rows
+
+
+def test_integer_kernel_matches_the_inline_read():
+    events = set()
+    big = False
+    for rows in _kernel_systems():
+        n = len(rows[0])
+        got = np.array(rows, dtype=object)
+        expected = np.array(rows, dtype=object)
+        k = integer_kernel(got)
+        oracle = _inline_kernel(expected, events)
+        assert got.tolist() == expected.tolist()
+        if oracle is None:
+            assert k is None
+            continue
+        assert k.tolist() == oracle.tolist()
+        assert all(type(v) is int for v in k.tolist())
+        # A positive multiple of the Fraction oracle's kernel vector, whose
+        # free entry is 1: so k's free entry is positive.
+        (basis,) = _oracle_null_space([[Fraction(v) for v in row] for row in rows], n)
+        scale = next(v / b for v, b in zip(k.tolist(), basis) if b)
+        assert scale > 0
+        assert [scale * b for b in basis] == k.tolist()
+        big = big or max(abs(v) for row in rows for v in row) >= 2**62
+    assert events == {"rank below n - 1", "negative last pivot", "positive last pivot"}
+    assert big

@@ -10,11 +10,8 @@ from perronkron import perron
 from perronkron.cli import main
 from perronkron.families import cycle_companion, dft, hadamard_like
 from perronkron.linalg import Matrix, Vector, kron
-from perronkron.serialize import (
-    matrix_from_json,
-    matrix_to_json,
-    vector_to_json,
-)
+from perronkron.serialize import matrix_from_json, matrix_to_json
+from test_linalg import vector_to_json
 
 
 def run_cli(args, capsys):

@@ -249,10 +249,10 @@ def test_ray_scan_takes_each_sylvester_direction_once(monkeypatch):
     """cone_inequalities(H3) repeats each of its 4 directions 4 times: the
     scan eliminates C(4, 3) = 4 subsets, not C(16, 3) = 560."""
     kernels = []
-    eliminate = cones.bareiss_eliminate
+    eliminate = cones.integer_kernel
     M = cone_inequalities(hadamard_like(3))
     monkeypatch.setattr(
-        cones, "bareiss_eliminate", lambda A: kernels.append(A.shape) or eliminate(A)
+        cones, "integer_kernel", lambda A: kernels.append(A.shape) or eliminate(A)
     )
     assert enumerate_extreme_rays(M) == scan_every_row_subset(M)
     assert len(kernels) == 4

@@ -1,8 +1,10 @@
 """Source hygiene: no library module imports a name it never uses, only
 `linalg`, `cones` and `indexing` import numpy, so the array format stays
-behind `linalg` (`cones` hands integer arrays to its Bareiss kernel, and
-`indexing` takes index grids elementwise: 1-D integer grids, not the matrix
-array format that `linalg` hides), the `entries` view
+behind `linalg` (`cones` pivots its simplex tableau as an integer array,
+and `indexing` takes index grids elementwise: 1-D integer grids, not the
+matrix array format that `linalg` hides), only `linalg` reads a Bareiss
+elimination or picks int64 storage, so `cones` asks `integer_kernel` and
+`integer_array`, the `entries` view
 is read only by its own members, an `IntegerForm` is built only by the
 two rational constructors, `perron` asks whether S is square only in
 `_checked_inverse`, no module reaches numpy's `kron`, so `linalg._kron`
@@ -390,3 +392,44 @@ def test_the_scan_sees_a_relative_import():
         "from .linalg import kron\n"
     )
     assert _names_imported_from(source, "perron") == ["_kron_certificate", "in_spectracone"]
+
+
+# Only `linalg` reads a Bareiss elimination's echelon layout or knows the
+# int64 threshold: every other module asks `integer_kernel` for a kernel
+# vector and `integer_array` for an integer array's storage.
+LINALG_ONLY_NAMES = ["bareiss_eliminate", "_INT64_SAFE"]
+
+
+def _name_references(source: str, name: str):
+    """(line, innermost enclosing function) of each reference to ``name``:
+    as a name, as an attribute, or imported."""
+    return _sites(source, lambda node: (
+        isinstance(node, ast.Name) and node.id == name
+    ) or (
+        isinstance(node, ast.Attribute) and node.attr == name
+    ) or (
+        isinstance(node, (ast.Import, ast.ImportFrom))
+        and any(alias.name.split(".")[-1] == name for alias in node.names)
+    ))
+
+
+@pytest.mark.parametrize("name", LINALG_ONLY_NAMES)
+def test_only_linalg_names_the_elimination_and_the_int64_threshold(name):
+    references = [
+        (path.name, line, func)
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "linalg.py"
+        for line, func in _name_references(path.read_text(encoding="utf-8"), name)
+    ]
+    assert references == []
+
+
+@pytest.mark.parametrize("name", LINALG_ONLY_NAMES)
+def test_the_scan_sees_a_name_reference(name):
+    source = (
+        f"from .linalg import Matrix, {name}\n"
+        f"def f(A):\n    return {name}(A)\n"
+        f"def g(A):\n    return linalg.{name}, {name}_cached, '{name}'\n"
+        f"x = {name} < 1\n"
+    )
+    assert _name_references(source, name) == [(1, None), (3, "f"), (5, "g"), (6, None)]

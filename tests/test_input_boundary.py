@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from perronkron.cli import MAX_GEN_ORDER, main
 from perronkron.families import dft, hadamard_like
-from perronkron import cli, serialize
+from perronkron import cli, linalg, serialize
 from perronkron.linalg import Matrix, Vector
 from perronkron.serialize import (
     matrix_from_dict,
@@ -290,6 +290,43 @@ def test_gen_circulant_admits_exponents_below_the_digit_cap(monkeypatch):
     seen = _recording_fraction(monkeypatch)
     assert _run(["gen", "circulant", row]) == (0, "")
     assert seen == row.split(",")
+
+
+def _recording_linalg_fraction(monkeypatch):
+    """Replace ``linalg``'s ``Fraction`` by a subclass, so ``_coerce``'s
+    ``isinstance`` test still works, that records each text it is handed
+    and builds 1 instead, so a call that reaches it cannot hang."""
+    seen = []
+
+    class Recorder(Fraction):
+        def __new__(cls, value=0, denominator=None):
+            seen.append(value)
+            return Fraction(1)
+
+    monkeypatch.setattr(linalg, "Fraction", Recorder)
+    return seen
+
+
+def test_rational_text_refuses_huge_exponents_before_building_them(monkeypatch):
+    seen = _recording_linalg_fraction(monkeypatch)
+    with pytest.raises(ValueError, match="exponent.*'e999999999'"):
+        Vector.rational(["1e999999999"])
+    assert seen == []
+    # The entry before the huge one is built; the huge one never is.
+    with pytest.raises(ValueError, match="exponent.*'E\\+4_300'"):
+        Matrix.rational([["1", " 1.5E+4_300 "]])
+    assert seen == ["1"]
+
+
+def test_rational_text_admits_exponents_below_the_digit_cap(monkeypatch):
+    limit = sys.get_int_max_str_digits() or 4300
+    texts = [f"1e{limit - 1}", f"-2E-{limit - 1}", "3e0"]
+    assert Vector.rational(texts) == Vector.rational(
+        [10 ** (limit - 1), Fraction(-2, 10 ** (limit - 1)), 3]
+    )
+    seen = _recording_linalg_fraction(monkeypatch)
+    Vector.rational(texts)
+    assert seen == texts
 
 
 def test_gen_circulant_reads_decimal_exponents():

@@ -23,6 +23,7 @@ from perronkron.linalg import (
     Vector,
     diag_embed,
     inf_norm,
+    integer_array,
     inverse,
     is_entrywise_nonneg,
     kron,
@@ -211,6 +212,28 @@ def test_int64_edge_of_the_state():
     # int64 operands whose sum crosses the edge.
     edge = Vector.rational([2**61 + 1])
     _rational(edge + edge, [Fraction(2**62 + 2)])
+
+
+@pytest.mark.parametrize("make", [
+    list,
+    lambda values: np.array(values, dtype=np.int64),
+    lambda values: np.array(values, dtype=object),
+], ids=["list", "int64", "object"])
+def test_integer_array_is_int64_below_the_edge_and_python_ints_from_it(make):
+    values = [0, -3, LIMIT - 1]
+    for bound, dtype in ((LIMIT - 1, np.int64), (LIMIT, object)):
+        got = integer_array(make(values), bound)
+        assert got.dtype == dtype
+        assert got.tolist() == values
+        assert all(type(v) is int for v in got.tolist())
+
+
+def test_integer_array_returns_an_array_whose_dtype_fits_as_it_is():
+    small = np.array([[1, -2], [3, LIMIT - 1]], dtype=np.int64)
+    big = np.array([1, 2**70], dtype=object)
+    assert integer_array(small, LIMIT - 1) is small
+    assert integer_array(big, 2**70) is big
+    assert integer_array(small, LIMIT) is not small
 
 
 def test_zero_arrays_are_zero_over_one():

@@ -12,8 +12,9 @@ from perronkron import cones, digraph, perron
 from perronkron.cli import main
 from perronkron.families import cycle_companion, dft, hadamard_like
 from perronkron.linalg import Matrix, Vector
-from perronkron.serialize import matrix_to_json, vector_to_json
+from perronkron.serialize import matrix_to_json
 from perronkron.verification import report
+from test_linalg import vector_to_json
 
 # sha256 of the stdout of `perronkron --format text --seed 42 verify-paper`.
 VERIFY_PAPER_TEXT_SEED_42_SHA256 = (
