@@ -49,17 +49,29 @@ must be finite.  The entry tests (``support``, ``inf_norm``,
 read the state; a complex modulus is ``hypot(re, im)``, which rounds as
 Python's ``abs`` does.
 
-Exact elimination has one kernel, ``bareiss_eliminate``: fraction-free
-Gauss-Jordan elimination on Python integers, after E. H. Bareiss,
-"Sylvester's identity and multistep integer-preserving Gaussian
-elimination", Math. Comp. 22 (1968).  Each pivot is one ``rank_one``
-update of every other row, the update the simplex in ``cones`` pivots its
-tableau by.  Every entry it produces is a minor of its input, so each
-division it makes is exact and no gcd is taken.  The rational ``inverse``
-runs it on ``[N | I]``, where ``N`` is the numerator array of the matrix,
-unless ``N`` has pairwise orthogonal nonzero rows, and ``integer_kernel``
-reads an integer kernel vector off it for the ray scan in ``cones``.  Only
-these two read its echelon layout.  Orthogonal rows are the paper's case:
+Exact elimination on Python integers has one kernel, ``bareiss_eliminate``:
+fraction-free Gauss-Jordan elimination, after E. H. Bareiss, "Sylvester's
+identity and multistep integer-preserving Gaussian elimination", Math.
+Comp. 22 (1968).  Each pivot is one ``rank_one`` update of every other row,
+the update the simplex in ``cones`` pivots its tableau by.  Every entry it
+produces is a minor of its input, so each division it makes is exact and
+no gcd is taken.  ``integer_kernel`` reads an integer kernel vector off it
+for the ray scan in ``cones``, and ``_eliminated_inverse`` an inverse off
+``[N | I]``; only these two read its echelon layout.
+The rational ``inverse`` of a matrix with numerator array ``N`` takes a
+closed form when ``N`` has pairwise orthogonal nonzero rows, as below.
+Otherwise it inverts ``N`` modulo the prime p = 1048573 by Gauss-Jordan in
+int64 and lifts that inverse p-adically (J. D. Dixon, "Exact solution of
+linear equations using p-adic expansions", Numer. Math. 40 (1982)), with
+each product in float64 BLAS while its partial sums stay below 2**53, as
+in J.-G. Dumas, P. Giorgi & C. Pernet, "Dense linear algebra over
+word-size prime fields: the FFLAS and FFPACK packages", ACM Trans. Math.
+Softw. 35(3) (2008).  Rational reconstruction gives the denominator, and
+one comparison of integers proves the result exact.  Bareiss decides only
+what the prime field cannot: a column without a pivot mod p (``N`` is
+singular or p divides its determinant) or a result the comparison does not
+prove.  It gives the same canonical inverse, or names the first column
+without a pivot.  Orthogonal rows are the paper's case:
 Sylvester Hadamard matrices have them, and a Kronecker product keeps them
 (C. F. Van Loan, "The ubiquitous Kronecker product", J. Comput. Appl. Math.
 123 (2000)).  When the Gram matrix ``N N^T`` is diagonal, the inverse is
@@ -740,6 +752,172 @@ def integer_kernel(A: np.ndarray) -> Optional[np.ndarray]:
     return -k if last < 0 else k
 
 
+def _eliminated_inverse(num: np.ndarray) -> Tuple[np.ndarray, int]:
+    """(Y, d) with ``num @ Y = d I`` and d > 0, for a square integer array,
+    by ``bareiss_eliminate`` on ``[num | I]``: the left block ends as
+    det * I, so Y is the right block times the sign of det and d = |det|.
+    A singular ``num`` raises ``SingularMatrixError`` naming the first
+    column without a pivot."""
+    n = len(num)
+    aug = np.hstack([num, np.identity(n, dtype=int)]).astype(object)
+    pivots, det = bareiss_eliminate(aug)
+    if pivots[:n] != list(range(n)):
+        col = next(c for c, p in enumerate(pivots + [n]) if c != p)
+        raise SingularMatrixError(f"no pivot in column {col + 1}")
+    return (aug[:, n:] if det > 0 else -aug[:, n:]), abs(det)
+
+
+# The prime of the lifted inverse: the largest below 2**20, so that a product
+# of two residues is below 2**40 and three digits pack below 2**60.
+_PRIME = 1048573
+
+# Every integer up to this magnitude is a float64.
+_FLOAT64_EXACT = 2**53
+
+# The side of the tiles a float64 product is formed from.  OpenBLAS keeps a
+# product on one thread while m * n * k is at most 4 * 65536, its default
+# threshold, which 64**3 meets; a whole product of order 128 would wake a
+# second thread, and that thread spins on after the call.
+_TILE = 64
+
+
+def _exact_matmul_by(a: np.ndarray, bound: int) -> Callable[[np.ndarray], np.ndarray]:
+    """The exact product ``b -> a @ b`` of integer matrices, where
+    ``bound`` bounds every partial sum.  Below 2**53 it is a float64
+    product cast back to int64: every partial sum is an integer a double
+    holds, so no order of summation rounds.  Otherwise ``integer_product``
+    forms it."""
+    if bound < _FLOAT64_EXACT:
+        a = a.astype(float)
+        return lambda b: _tiled_matmul(a, b.astype(float)).astype(np.int64)
+    return lambda b: integer_product(np.matmul, a, b, bound=bound)
+
+
+def _tiled_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` for float64 matrices, summed from products of tiles at most
+    ``_TILE`` on a side."""
+    t = _TILE
+    if max(a.shape + b.shape) <= t:
+        return a @ b
+    out = np.zeros((len(a), b.shape[1]))
+    for i in range(0, len(a), t):
+        for j in range(0, b.shape[1], t):
+            for k in range(0, len(b), t):
+                out[i : i + t, j : j + t] += a[i : i + t, k : k + t] @ b[k : k + t, j : j + t]
+    return out
+
+
+def _inverse_mod_prime(num: np.ndarray) -> Optional[np.ndarray]:
+    """The inverse of a square integer array modulo ``_PRIME``, as int64
+    residues, by Gauss-Jordan in int64 on ``[num mod p | I]``, pivoting on
+    the first nonzero residue; None when a column has no nonzero pivot,
+    that is, when p divides det ``num`` (which may be 0)."""
+    p, n = _PRIME, len(num)
+    aug = np.hstack([(num % p).astype(np.int64), np.identity(n, dtype=np.int64)])
+    for c in range(n):
+        nonzero = np.flatnonzero(aug[c:, c])
+        if not len(nonzero):
+            return None
+        k = c + int(nonzero[0])
+        if k != c:
+            aug[[c, k]] = aug[[k, c]]
+        # Columns left of c are zero in the pivot row; the update skips them.
+        aug[c, c:] = aug[c, c:] * pow(int(aug[c, c]), -1, p) % p
+        f = aug[:, c].copy()
+        f[c] = 0
+        aug[:, c:] = (aug[:, c:] - np.outer(f, aug[c, c:])) % p
+    return aug[:, n:]
+
+
+def _reconstructed_denominator(residue: int, modulus: int, limit: int) -> Optional[int]:
+    """The denominator b of the fraction a/b, |a| <= limit and
+    0 < b <= limit, with a = b * residue mod ``modulus``, or None when the
+    search finds none: the extended Euclidean algorithm on ``modulus`` and
+    ``residue``, stopped at the first remainder at most ``limit`` (P. S.
+    Wang, "A p-adic algorithm for univariate partial fractions", SYMSAC
+    1981).  With 2 * limit**2 < modulus there is at most one such fraction."""
+    r0, r1, t0, t1 = modulus, residue, 0, 1
+    while r1 > limit:
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    return abs(t1) if abs(t1) <= limit else None
+
+
+def _lifted_inverse(num: np.ndarray, bound: int) -> Optional[Tuple[np.ndarray, int]]:
+    """(Y, d) with ``num @ Y = d I`` and d > 0, for a square integer array
+    whose entries are at most ``bound`` in magnitude, by Dixon's p-adic
+    lifting; None where the prime field cannot decide: p divides det
+    ``num``, or the result fails its bound test.
+
+    C = num^-1 mod p comes from ``_inverse_mod_prime``.  With R_0 = I, each
+    step takes the digit X_i = C (R_i mod p) mod p and the residual
+    R_{i+1} = (R_i - num X_i) / p, an exact division, with |R_i| <= n bound;
+    after k steps X = sum X_i p**i satisfies num X = I mod m = p**k.  Both
+    products take float64 while their bounds, n p**2 and n bound p, are
+    below 2**53, and ``integer_product`` otherwise.  Three digits pack into
+    one int64 word as they arrive (p**3 < 2**60), and the words become
+    Python ints once, by Horner's rule.  k is the least with
+    m > 2 H**2 n bound, for the Hadamard bound H on |det num| and on every
+    cofactor, so the reduced entries a/b of num^-1, |a|, b <= H, are within
+    the reconstruction limit L = isqrt((m - 1) / 2).
+
+    The denominator d starts at 1, and Y is the symmetric residue of d X
+    mod m.  Column by column, while an entry of the column of Y exceeds L,
+    the first such entry of X is reconstructed as a fraction and d takes
+    the lcm with its denominator; the lifting gives up unless d grows and
+    stays at most L, as the least common denominator of num^-1 does.
+    num Y = d I mod m holds by construction, and each entry of num Y - d I
+    is at most n bound max|Y| + d in magnitude, so when that is below m the
+    equation is exact: one comparison of integers, and no verification
+    product.
+    """
+    p, n = _PRIME, len(num)
+    inverse_mod_p = _inverse_mod_prime(num)
+    if inverse_mod_p is None:
+        return None
+    squares = integer_product(lambda a: (a * a).sum(axis=1), num, bound=n * bound**2)
+    target = 2 * math.prod(squares.tolist()) * n * bound
+    k, m = 1, p
+    while m <= target:
+        k, m = k + 1, m * p
+    by_inverse = _exact_matmul_by(inverse_mod_p, n * p**2)
+    by_num = _exact_matmul_by(num, n * bound * p)
+    residual = np.identity(n, dtype=np.int64)
+    words: List[np.ndarray] = []
+    for i in range(k):
+        if i:
+            residual = integer_product(
+                lambda r, s: (r - s) // p, residual, by_num(digit), bound=n * bound * p
+            )
+        digit = by_inverse((residual % p).astype(np.int64)) % p
+        if i % 3:
+            words[-1] += digit * p ** (i % 3)
+        else:
+            words.append(digit)
+    x = words.pop().astype(object)
+    while words:
+        x = x * p**3 + words.pop()
+    limit = math.isqrt((m - 1) // 2)
+    d, columns = 1, []
+    for j in range(n):
+        while True:
+            r = x[:, j] * d % m
+            out = np.flatnonzero((r > limit) & (r < m - limit))
+            if not len(out):
+                break
+            b = _reconstructed_denominator(int(x[out[0], j]), m, limit)
+            grown = math.lcm(d, b) if b else d
+            if not d < grown <= limit:
+                return None
+            d = grown
+        columns.append((np.where(r > limit, r - m, r), d))
+    # A column taken at an earlier d is the residue at d times d // that d.
+    y = np.stack([c * (d // dc) for c, dc in columns], axis=1)
+    if n * bound * int(abs(y).max()) + d >= m:
+        return None
+    return y, d
+
+
 def _orthogonal_row_norms(num: np.ndarray, bound: int) -> Optional[List[int]]:
     """The diagonal of the Gram matrix ``num num^T`` of a square integer
     array whose entries are at most ``bound`` in magnitude, when the Gram
@@ -766,9 +944,11 @@ def inverse(S: Matrix) -> Matrix:
     its columns scaled by the vector that ``from_pairs`` builds of the
     pairs d / g_j; ``_orthogonal_row_norms`` decides that from row 0 of G
     and then all of G, each one integer product, int64 unless it could
-    overflow.  Otherwise ``bareiss_eliminate`` eliminates ``[N | I]``; the
-    left block ends as det * I and S^{-1} is d / det times the right block.
-    Both give the same canonical result, and a zero row takes the
+    overflow.  Otherwise ``_lifted_inverse`` finds Y and D > 0 with
+    N Y = D I by p-adic lifting over one prime, and S^{-1} = d Y / D; where
+    the prime field cannot decide, ``_eliminated_inverse`` finds them by
+    ``bareiss_eliminate`` on ``[N | I]``, or raises.  All three give the
+    same canonical result, and a zero row, zero mod p too, takes the
     elimination.  Complex mode keeps Gauss-Jordan: a floating-point Gram
     test would send the DFT to a closed form that rounds differently, and
     its inverse would change bit for bit.  It pivots ``[S | I]`` in place
@@ -797,13 +977,8 @@ def inverse(S: Matrix) -> Matrix:
             return Matrix._of_values(form.num.T, RATIONAL).scale_columns(
                 Vector.from_pairs(scale, (n,), RATIONAL)
             )
-        aug = np.hstack([form.num, np.identity(n, dtype=int)]).astype(object)
-        pivots, det = bareiss_eliminate(aug)
-        if pivots[:n] != list(range(n)):
-            col = next(c for c, p in enumerate(pivots + [n]) if c != p)
-            raise SingularMatrixError(f"no pivot in column {col + 1}")
-        num = aug[:, n:] * (form.den if det > 0 else -form.den)
-        return Matrix._of_values(num, RATIONAL, abs(det))
+        y, d = _lifted_inverse(form.num, form.bound) or _eliminated_inverse(form.num)
+        return Matrix._of_values(y * form.den, RATIONAL, d)
     aug = np.hstack([S.array_form(), np.identity(n)])
     with np.errstate(over="ignore", invalid="ignore"):
         for col in range(n):

@@ -258,16 +258,30 @@ def test_diagonal_gram_skips_elimination(monkeypatch):
     assert [inverse(H), inverse(weighted)] == expected
 
 
+def _counting_lifting(monkeypatch):
+    calls = []
+    kernel = linalg._lifted_inverse
+    monkeypatch.setattr(
+        linalg, "_lifted_inverse",
+        lambda num, bound: calls.append(num.shape) or kernel(num, bound),
+    )
+    return calls
+
+
 def test_non_diagonal_gram_takes_elimination(monkeypatch):
+    """A matrix whose rows are not orthogonal takes the elimination mod p
+    and its p-adic lifting, which decide both of these without Bareiss."""
     near_miss = [list(row) for row in _sylvester(16).entries]
     near_miss[5][9] = Fraction(2)
     near_miss = Matrix.rational(near_miss)
     rng = random.Random(24)
     dense = Matrix.rational(_random_rows(rng, 12, 12, 12))
-    calls = _counting_bareiss(monkeypatch)
+    calls = _counting_lifting(monkeypatch)
+    eliminations = _counting_bareiss(monkeypatch)
     assert inverse(near_miss) == _oracle_inverse(near_miss)
     assert inverse(dense) == _oracle_inverse(dense)
-    assert calls == [(16, 32), (12, 24)]
+    assert calls == [(16, 16), (12, 12)]
+    assert eliminations == []
 
 
 def test_zero_rows_keep_singular_message(monkeypatch):

@@ -394,10 +394,21 @@ def test_the_scan_sees_a_relative_import():
     assert _names_imported_from(source, "perron") == ["_kron_certificate", "in_spectracone"]
 
 
-# Only `linalg` reads a Bareiss elimination's echelon layout or knows the
-# int64 threshold: every other module asks `integer_kernel` for a kernel
-# vector and `integer_array` for an integer array's storage.
-LINALG_ONLY_NAMES = ["bareiss_eliminate", "_INT64_SAFE"]
+# Only `linalg` reads a Bareiss elimination's echelon layout, knows the
+# int64 and float64 thresholds or works in the prime field: every other
+# module asks `integer_kernel` for a kernel vector, `integer_array` for an
+# integer array's storage and `inverse` for an inverse.
+LINALG_ONLY_NAMES = [
+    "bareiss_eliminate",
+    "_INT64_SAFE",
+    "_FLOAT64_EXACT",
+    "_PRIME",
+    "_exact_matmul_by",
+    "_inverse_mod_prime",
+    "_reconstructed_denominator",
+    "_lifted_inverse",
+    "_eliminated_inverse",
+]
 
 
 def _name_references(source: str, name: str):
