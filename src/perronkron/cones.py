@@ -301,9 +301,9 @@ def enumerate_extreme_rays(M: Matrix) -> List[Vector]:
     Naive double-description cross-check: every (n-1)-subset of distinct
     constraint directions with a one-dimensional kernel whose kernel vector
     (or its negation) satisfies all constraints yields a candidate ray.
-    ``integer_kernel`` reads the kernel vector off one Bareiss elimination
-    of the subset as an integer vector k whose free entry, the last pivot,
-    is positive; each ray is k / max|k|.  Rational mode only; intended for
+    ``integer_kernel`` reads the kernel vector off the certified rank
+    profile of the subset as a primitive integer vector k whose last
+    nonzero entry is positive; each ray is k / max|k|.  Rational mode only; intended for
     small n.
     """
     if M.mode != RATIONAL:

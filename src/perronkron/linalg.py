@@ -49,29 +49,27 @@ must be finite.  The entry tests (``support``, ``inf_norm``,
 read the state; a complex modulus is ``hypot(re, im)``, which rounds as
 Python's ``abs`` does.
 
-Exact elimination on Python integers has one kernel, ``bareiss_eliminate``:
-fraction-free Gauss-Jordan elimination, after E. H. Bareiss, "Sylvester's
-identity and multistep integer-preserving Gaussian elimination", Math.
-Comp. 22 (1968).  Each pivot is one ``rank_one`` update of every other row,
-the update the simplex in ``cones`` pivots its tableau by.  Every entry it
-produces is a minor of its input, so each division it makes is exact and
-no gcd is taken.  ``integer_kernel`` reads an integer kernel vector off it
-for the ray scan in ``cones``, and ``_eliminated_inverse`` an inverse off
-``[N | I]``; only these two read its echelon layout.
-The rational ``inverse`` of a matrix with numerator array ``N`` takes a
-closed form when ``N`` has pairwise orthogonal nonzero rows, as below.
-Otherwise it inverts ``N`` modulo the prime p = 1048573 by Gauss-Jordan in
-int64 and lifts that inverse p-adically (J. D. Dixon, "Exact solution of
-linear equations using p-adic expansions", Numer. Math. 40 (1982)), with
-each product in float64 BLAS while its partial sums stay below 2**53, as
-in J.-G. Dumas, P. Giorgi & C. Pernet, "Dense linear algebra over
-word-size prime fields: the FFLAS and FFPACK packages", ACM Trans. Math.
-Softw. 35(3) (2008).  Rational reconstruction gives the denominator, and
-one comparison of integers proves the result exact.  Bareiss decides only
-what the prime field cannot: a column without a pivot mod p (``N`` is
-singular or p divides its determinant) or a result the comparison does not
-prove.  It gives the same canonical inverse, or names the first column
-without a pivot.  Orthogonal rows are the paper's case:
+Exact elimination has one kernel, ``_rank_profile``: the column rank
+profile of an integer array over Q, found modulo a word-size prime and
+certified.  Gauss-Jordan in int64 modulo p = 1048573, or the next smaller
+prime where that one fails, gives the pivot columns P and rows R.  The
+block B of the pivot rows and columns is then nonsingular, and its
+inverse mod p is lifted p-adically to the exact B^-1 = Y / d (J. D.
+Dixon, "Exact solution of linear equations using p-adic expansions",
+Numer. Math. 40 (1982)), each product in float64 BLAS while its partial
+sums stay below 2**53, as in J.-G. Dumas, P. Giorgi & C. Pernet, "Dense
+linear algebra over word-size prime fields: the FFLAS and FFPACK
+packages", ACM Trans. Math. Softw. 35(3) (2008).  Rational reconstruction
+gives d, one comparison of integers proves Y exact, and one exact product
+proves each column without a pivot a combination of the pivot columns
+left of it.  The rational ``inverse`` reads the profile of its numerator
+array ``N``, which is the inverse at full rank and names the first
+column without a pivot otherwise, and ``integer_kernel`` reads the kernel
+vector of the ray scan in ``cones``.  Fraction-free elimination (E. H.
+Bareiss, Math. Comp. 22 (1968)) is the tests' oracle; its ``rank_one``
+update pivots the simplex tableau in ``cones``.
+The rational ``inverse`` takes a closed form when ``N`` has pairwise
+orthogonal nonzero rows, as below.  Orthogonal rows are the paper's case:
 Sylvester Hadamard matrices have them, and a Kronecker product keeps them
 (C. F. Van Loan, "The ubiquitous Kronecker product", J. Comput. Appl. Math.
 123 (2000)).  When the Gram matrix ``N N^T`` is diagonal, the inverse is
@@ -697,78 +695,8 @@ def rank_one(block: np.ndarray, p, f: np.ndarray, pivot: np.ndarray) -> np.ndarr
     return block * p - np.outer(f, pivot)
 
 
-def bareiss_eliminate(M: np.ndarray) -> Tuple[List[int], int]:
-    """Fraction-free Gauss-Jordan elimination of an integer array, in place.
-
-    ``M`` is a numpy ``object`` array of Python ints.  Columns are taken in
-    order; each pivots on its first nonzero entry at or below the rows
-    already pivoted, and a column without one is skipped.  A pivot step
-    with pivot p, after the previous pivot ``prev``, replaces all other
-    rows at once by ``(p * row - row[c] * pivot_row) // prev``; the
-    division is exact by Sylvester's identity.
-
-    Returns the pivot columns, in the order of their pivot rows, and the
-    last pivot (1 if there is none).  On return the rows holding pivots
-    come first, each has the last pivot in its own pivot column and zeros
-    in the other pivot columns, and the remaining rows are zero.
-    """
-    nrows, ncols = M.shape
-    pivots: List[int] = []
-    prev = 1
-    for c in range(ncols):
-        r = len(pivots)
-        if r == nrows:
-            break
-        nonzero = np.flatnonzero(M[r:, c])
-        if not len(nonzero):
-            continue
-        k = r + int(nonzero[0])
-        if k != r:
-            M[[r, k]] = M[[k, r]]
-        p = M[r, c]
-        others = np.arange(nrows) != r
-        M[others] = rank_one(M[others], p, M[others, c], M[r]) // prev
-        pivots.append(c)
-        prev = p
-    return pivots, prev
-
-
-def integer_kernel(A: np.ndarray) -> Optional[np.ndarray]:
-    """The integer kernel vector k of an (n-1)-by-n ``object`` array of
-    Python ints of rank n - 1, or None when its rank is lower.
-
-    ``A`` is eliminated in place by ``bareiss_eliminate``.  Then each pivot
-    row reads ``last * x[pivot] + row[free] * x[free] = 0``, so k holds the
-    last pivot at the free column and minus the free column at the pivot
-    columns, all negated when the last pivot is negative: its free entry is
-    positive."""
-    n = A.shape[1]
-    pivots, last = bareiss_eliminate(A)
-    if len(pivots) != n - 1:
-        return None
-    free = (set(range(n)) - set(pivots)).pop()
-    k = np.empty(n, dtype=object)
-    k[free], k[pivots] = last, -A[:, free]
-    return -k if last < 0 else k
-
-
-def _eliminated_inverse(num: np.ndarray) -> Tuple[np.ndarray, int]:
-    """(Y, d) with ``num @ Y = d I`` and d > 0, for a square integer array,
-    by ``bareiss_eliminate`` on ``[num | I]``: the left block ends as
-    det * I, so Y is the right block times the sign of det and d = |det|.
-    A singular ``num`` raises ``SingularMatrixError`` naming the first
-    column without a pivot."""
-    n = len(num)
-    aug = np.hstack([num, np.identity(n, dtype=int)]).astype(object)
-    pivots, det = bareiss_eliminate(aug)
-    if pivots[:n] != list(range(n)):
-        col = next(c for c, p in enumerate(pivots + [n]) if c != p)
-        raise SingularMatrixError(f"no pivot in column {col + 1}")
-    return (aug[:, n:] if det > 0 else -aug[:, n:]), abs(det)
-
-
-# The prime of the lifted inverse: the largest below 2**20, so that a product
-# of two residues is below 2**40 and three digits pack below 2**60.
+# The first prime of the exact elimination: the largest below 2**20, so that
+# a product of two residues is below 2**40 and three digits pack below 2**60.
 _PRIME = 1048573
 
 # Every integer up to this magnitude is a float64.
@@ -807,26 +735,43 @@ def _tiled_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _inverse_mod_prime(num: np.ndarray) -> Optional[np.ndarray]:
-    """The inverse of a square integer array modulo ``_PRIME``, as int64
-    residues, by Gauss-Jordan in int64 on ``[num mod p | I]``, pivoting on
-    the first nonzero residue; None when a column has no nonzero pivot,
-    that is, when p divides det ``num`` (which may be 0)."""
-    p, n = _PRIME, len(num)
-    aug = np.hstack([(num % p).astype(np.int64), np.identity(n, dtype=np.int64)])
+def _primes() -> Iterator[int]:
+    """``_PRIME`` and then the odd primes below it in descending order,
+    each found by trial division when it is asked for."""
+    yield _PRIME
+    for q in range(_PRIME - 2, 2, -2):
+        if all(q % f for f in range(3, math.isqrt(q) + 1, 2)):
+            yield q
+
+
+def _profile_mod_prime(num: np.ndarray, p: int) -> Tuple[List[int], np.ndarray, np.ndarray]:
+    """The column rank profile of an integer array modulo the prime p, by
+    Gauss-Jordan in int64 on ``[num mod p | I]``: columns are taken in
+    order, each pivots on its first nonzero residue at or below the rows
+    already pivoted, and a column without one is skipped.  Returns the
+    pivot columns P, their pivot rows R in ascending order and the inverse
+    of the block ``num[R, P]`` mod p.  Each pivot row is its input row
+    plus multiples of earlier pivot rows, so the right block's pivot rows
+    are zero outside the columns R, which hold the inverse.  A pivot row is
+    zero left of its pivot column, and the update skips those columns."""
+    m, n = num.shape
+    aug = np.hstack([(num % p).astype(np.int64), np.identity(m, dtype=np.int64)])
+    pivots: List[int] = []
     for c in range(n):
-        nonzero = np.flatnonzero(aug[c:, c])
+        r = len(pivots)
+        nonzero = np.flatnonzero(aug[r:, c])
         if not len(nonzero):
-            return None
-        k = c + int(nonzero[0])
-        if k != c:
-            aug[[c, k]] = aug[[k, c]]
-        # Columns left of c are zero in the pivot row; the update skips them.
-        aug[c, c:] = aug[c, c:] * pow(int(aug[c, c]), -1, p) % p
+            continue
+        k = r + int(nonzero[0])
+        if k != r:
+            aug[[r, k]] = aug[[k, r]]
+        aug[r, c:] = aug[r, c:] * pow(int(aug[r, c]), -1, p) % p
         f = aug[:, c].copy()
-        f[c] = 0
-        aug[:, c:] = (aug[:, c:] - np.outer(f, aug[c, c:])) % p
-    return aug[:, n:]
+        f[r] = 0
+        aug[:, c:] = (aug[:, c:] - np.outer(f, aug[r, c:])) % p
+        pivots.append(c)
+    rows = np.flatnonzero(aug[: len(pivots), n:].any(axis=0))
+    return pivots, rows, aug[: len(pivots), n + rows]
 
 
 def _reconstructed_denominator(residue: int, modulus: int, limit: int) -> Optional[int]:
@@ -843,16 +788,17 @@ def _reconstructed_denominator(residue: int, modulus: int, limit: int) -> Option
     return abs(t1) if abs(t1) <= limit else None
 
 
-def _lifted_inverse(num: np.ndarray, bound: int) -> Optional[Tuple[np.ndarray, int]]:
+def _lifted_inverse(
+    num: np.ndarray, inverse_mod_p: np.ndarray, bound: int, p: int
+) -> Optional[Tuple[np.ndarray, int]]:
     """(Y, d) with ``num @ Y = d I`` and d > 0, for a square integer array
-    whose entries are at most ``bound`` in magnitude, by Dixon's p-adic
-    lifting; None where the prime field cannot decide: p divides det
-    ``num``, or the result fails its bound test.
+    whose entries are at most ``bound`` in magnitude and its inverse C
+    modulo the prime p, by Dixon's p-adic lifting; None where the result
+    fails its bound test.
 
-    C = num^-1 mod p comes from ``_inverse_mod_prime``.  With R_0 = I, each
-    step takes the digit X_i = C (R_i mod p) mod p and the residual
-    R_{i+1} = (R_i - num X_i) / p, an exact division, with |R_i| <= n bound;
-    after k steps X = sum X_i p**i satisfies num X = I mod m = p**k.  Both
+    With R_0 = I, each step takes the digit X_i = C (R_i mod p) mod p and
+    the residual R_{i+1} = (R_i - num X_i) / p, an exact division, with
+    |R_i| <= n bound; after k steps X = sum X_i p**i satisfies num X = I mod m = p**k.  Both
     products take float64 while their bounds, n p**2 and n bound p, are
     below 2**53, and ``integer_product`` otherwise.  Three digits pack into
     one int64 word as they arrive (p**3 < 2**60), and the words become
@@ -871,10 +817,7 @@ def _lifted_inverse(num: np.ndarray, bound: int) -> Optional[Tuple[np.ndarray, i
     equation is exact: one comparison of integers, and no verification
     product.
     """
-    p, n = _PRIME, len(num)
-    inverse_mod_p = _inverse_mod_prime(num)
-    if inverse_mod_p is None:
-        return None
+    n = len(num)
     squares = integer_product(lambda a: (a * a).sum(axis=1), num, bound=n * bound**2)
     target = 2 * math.prod(squares.tolist()) * n * bound
     k, m = 1, p
@@ -918,6 +861,60 @@ def _lifted_inverse(num: np.ndarray, bound: int) -> Optional[Tuple[np.ndarray, i
     return y, d
 
 
+def _rank_profile(num: np.ndarray, bound: int) -> Tuple[List[int], np.ndarray, int, np.ndarray]:
+    """(P, Y, d, Z) for an m-by-n integer array ``num`` whose entries are at
+    most ``bound`` in magnitude: P is its column rank profile over Q, the
+    columns that are not combinations of the columns left of them;
+    B Y = d I with d > 0 for the block B = ``num[R, P]`` of some rows R;
+    and ``num[:, F] d = num[:, P] Z`` for the other columns F, if any, and
+    Z None otherwise.
+
+    Each prime from ``_primes`` in turn gives P, R and B^-1 mod p by
+    ``_profile_mod_prime``, so B is nonsingular, and ``_lifted_inverse``
+    gives Y and d.  Z = Y ``num[R, F]`` certifies P as the profile over Q
+    when it is zero at each pivot column right of its column f and one
+    exact product gives ``num[:, P] Z = d num[:, F]``: each f is then a
+    combination of the pivot columns left of it.  Over the true profile
+    both hold, so a prime fails only where it divides a nonzero minor of
+    ``num``, of at most the product of max(1, |row|) over the rows: only
+    finitely many fail.
+    """
+    for p in _primes():
+        pivots, rows, inverse_mod_p = _profile_mod_prime(num, p)
+        block = num[np.ix_(rows, pivots)]
+        lifted = _lifted_inverse(block, inverse_mod_p, bound, p) if pivots else (block, 1)
+        if lifted is None:
+            continue
+        y, d = lifted
+        free = sorted(set(range(num.shape[1])) - set(pivots))
+        if not free:
+            return pivots, y, d, None
+        top = len(pivots) * int(abs(y).max(initial=0)) * bound
+        z = integer_product(np.matmul, y, num[np.ix_(rows, free)], bound=top)
+        if np.count_nonzero(z[np.array(pivots)[:, None] > np.array(free)]):
+            continue
+        combined = integer_product(np.matmul, num[:, pivots], z, bound=len(pivots) * bound * top)
+        if np.array_equal(combined, integer_product(np.multiply, num[:, free], d, bound=bound * d)):
+            return pivots, y, d, z
+    raise ArithmeticError("no prime below 2**20 decides the elimination")
+
+
+def integer_kernel(A: np.ndarray) -> Optional[np.ndarray]:
+    """The primitive integer kernel vector k of an (n-1)-by-n integer array
+    of rank n - 1, as an ``object`` array of Python ints, or None when its
+    rank is lower: ``_rank_profile`` leaves one column f out of the profile
+    P, and k holds d at f and -Z at P, so A k = d A[:, f] - A[:, P] Z = 0,
+    over the gcd of its entries.  Z is zero at the pivot columns right of
+    f, so the positive entry at f is k's last nonzero entry."""
+    bound = int(abs(A).max(initial=0))
+    pivots, _, d, z = _rank_profile(integer_array(A, bound), bound)
+    if len(pivots) != A.shape[1] - 1:
+        return None
+    k = np.full(A.shape[1], d, dtype=object)
+    k[pivots] = -z[:, 0]
+    return k // math.gcd(*k.tolist())
+
+
 def _orthogonal_row_norms(num: np.ndarray, bound: int) -> Optional[List[int]]:
     """The diagonal of the Gram matrix ``num num^T`` of a square integer
     array whose entries are at most ``bound`` in magnitude, when the Gram
@@ -944,25 +941,25 @@ def inverse(S: Matrix) -> Matrix:
     its columns scaled by the vector that ``from_pairs`` builds of the
     pairs d / g_j; ``_orthogonal_row_norms`` decides that from row 0 of G
     and then all of G, each one integer product, int64 unless it could
-    overflow.  Otherwise ``_lifted_inverse`` finds Y and D > 0 with
-    N Y = D I by p-adic lifting over one prime, and S^{-1} = d Y / D; where
-    the prime field cannot decide, ``_eliminated_inverse`` finds them by
-    ``bareiss_eliminate`` on ``[N | I]``, or raises.  All three give the
-    same canonical result, and a zero row, zero mod p too, takes the
-    elimination.  Complex mode keeps Gauss-Jordan: a floating-point Gram
-    test would send the DFT to a closed form that rounds differently, and
-    its inverse would change bit for bit.  It pivots ``[S | I]`` in place
-    on the first row of largest modulus, divides the pivot row entry by
-    entry with Python's complex quotient (numpy's rounds differently), and
-    subtracts one rank-1 product, built as ``_complex_product`` builds it by
-    broadcasting the factor column over the pivot row, from each other row
-    whose factor is nonzero: subtracting 0 * p could turn -0.0 into 0.0.
-    The whole elimination runs under one ``np.errstate``.  Rational mode
-    pivots on the first nonzero entry.  Either way a singular matrix raises
-    ``SingularMatrixError`` naming the first column without a pivot.  In
-    complex mode a pivot whose modulus overflows, or whose quotient by
-    itself is not finite because Python's quotient overflows inside (as for
-    8.99e307 + 8.99e307j), raises ``ValueError``.
+    overflow.  Otherwise ``_rank_profile`` eliminates N in a prime field
+    and certifies its rank profile.  At full rank it gives Y and D > 0 with
+    N Y = D I by p-adic lifting, and S^{-1} = d Y / D, the same canonical
+    result as the closed form; below full rank the first column without a
+    pivot is named.  A zero row takes the elimination.  Complex mode keeps
+    Gauss-Jordan: a floating-point Gram test would send the DFT to a closed
+    form that rounds differently, and its inverse would change bit for bit.
+    It pivots ``[S | I]`` in place on the first row of largest modulus,
+    divides the pivot row entry by entry with Python's complex quotient
+    (numpy's rounds differently), and subtracts one rank-1 product, built
+    as ``_complex_product`` builds it by broadcasting the factor column
+    over the pivot row, from each other row whose factor is nonzero:
+    subtracting 0 * p could turn -0.0 into 0.0.  The whole elimination runs
+    under one ``np.errstate``.  Either way a singular matrix raises
+    ``SingularMatrixError`` naming the first column without a pivot, in
+    rational mode the first that is a combination of the columns left of
+    it.  In complex mode a pivot whose modulus overflows, or whose quotient
+    by itself is not finite because Python's quotient overflows inside (as
+    for 8.99e307 + 8.99e307j), raises ``ValueError``.
     """
     if not S.is_square:
         raise ValueError("only square matrices are invertible")
@@ -977,7 +974,9 @@ def inverse(S: Matrix) -> Matrix:
             return Matrix._of_values(form.num.T, RATIONAL).scale_columns(
                 Vector.from_pairs(scale, (n,), RATIONAL)
             )
-        y, d = _lifted_inverse(form.num, form.bound) or _eliminated_inverse(form.num)
+        pivots, y, d, _ = _rank_profile(form.num, form.bound)
+        if len(pivots) < n:
+            raise SingularMatrixError(f"no pivot in column {min(set(range(n)) - set(pivots)) + 1}")
         return Matrix._of_values(y * form.den, RATIONAL, d)
     aug = np.hstack([S.array_form(), np.identity(n)])
     with np.errstate(over="ignore", invalid="ignore"):

@@ -1,14 +1,18 @@
-"""Differential tests of the fraction-free (Bareiss) elimination kernel
-and of the orthogonal-row closed form of the rational inverse.
+"""Differential tests of the rational inverse, its orthogonal-row closed
+form and the integer kernel vector, against reference oracles that live
+here, not in the library.
 
-The reference oracles below are the Fraction Gauss-Jordan loops that
-``linalg.inverse`` and the ray scan's null spaces used before both moved
-onto ``linalg.bareiss_eliminate``, and the row-at-a-time Bareiss loop that
-its one rank-1 update per pivot replaced.  They live here, not in the
-library.
+The oracles are the Fraction Gauss-Jordan loops that ``linalg.inverse``
+and the ray scan's null spaces used before they moved onto fraction-free
+elimination; ``bareiss_eliminate``, that fraction-free (Bareiss)
+elimination, which the library used until its certified prime-field
+profile replaced it; and the row-at-a-time Bareiss loop that its one
+rank-1 update per pivot replaced.
 """
+import math
 import random
 from fractions import Fraction
+from typing import List, Tuple
 
 import numpy as np
 import pytest
@@ -19,17 +23,53 @@ from perronkron.linalg import (
     Matrix,
     SingularMatrixError,
     Vector,
-    bareiss_eliminate,
     diag_embed,
     integer_kernel,
     inverse,
     kron,
+    rank_one,
 )
 
 
 def integer_form(rows) -> linalg.IntegerForm:
     """Clear the denominators of rows of Fractions."""
     return Matrix.rational(rows).array_form()
+
+
+def bareiss_eliminate(M: np.ndarray) -> Tuple[List[int], int]:
+    """Fraction-free Gauss-Jordan elimination of an integer array, in place.
+
+    ``M`` is a numpy ``object`` array of Python ints.  Columns are taken in
+    order; each pivots on its first nonzero entry at or below the rows
+    already pivoted, and a column without one is skipped.  A pivot step
+    with pivot p, after the previous pivot ``prev``, replaces all other
+    rows at once by ``(p * row - row[c] * pivot_row) // prev``; the
+    division is exact by Sylvester's identity.
+
+    Returns the pivot columns, in the order of their pivot rows, and the
+    last pivot (1 if there is none).  On return the rows holding pivots
+    come first, each has the last pivot in its own pivot column and zeros
+    in the other pivot columns, and the remaining rows are zero.
+    """
+    nrows, ncols = M.shape
+    pivots: List[int] = []
+    prev = 1
+    for c in range(ncols):
+        r = len(pivots)
+        if r == nrows:
+            break
+        nonzero = np.flatnonzero(M[r:, c])
+        if not len(nonzero):
+            continue
+        k = r + int(nonzero[0])
+        if k != r:
+            M[[r, k]] = M[[k, r]]
+        p = M[r, c]
+        others = np.arange(nrows) != r
+        M[others] = rank_one(M[others], p, M[others, c], M[r]) // prev
+        pivots.append(c)
+        prev = p
+    return pivots, prev
 
 
 def _oracle_inverse(S: Matrix) -> Matrix:
@@ -237,13 +277,20 @@ def test_orthogonal_rows_case_list_covers_object_numerators():
     assert dtypes == {np.dtype(np.int64), np.dtype(object)}
 
 
-def _counting_bareiss(monkeypatch):
-    calls = []
-    kernel = linalg.bareiss_eliminate
-    monkeypatch.setattr(
-        linalg, "bareiss_eliminate", lambda M: calls.append(M.shape) or kernel(M)
-    )
-    return calls
+def _counting_primes(monkeypatch):
+    """The number of primes each exact elimination tries, one count per
+    elimination, in call order."""
+    counts = []
+    primes = linalg._primes
+
+    def spy():
+        counts.append(0)
+        for q in primes():
+            counts[-1] += 1
+            yield q
+
+    monkeypatch.setattr(linalg, "_primes", spy)
+    return counts
 
 
 def test_diagonal_gram_skips_elimination(monkeypatch):
@@ -251,10 +298,10 @@ def test_diagonal_gram_skips_elimination(monkeypatch):
     weighted = _weighted(_sylvester(8), [1, 2, Fraction(-1, 3), 5, 7, 1, 1, 9], Fraction(2, 3))
     expected = [H.scale(Fraction(1, 64)), _oracle_inverse(weighted)]
 
-    def refuse(M):
-        raise AssertionError("bareiss_eliminate was called")
+    def refuse():
+        raise AssertionError("the exact elimination was called")
 
-    monkeypatch.setattr(linalg, "bareiss_eliminate", refuse)
+    monkeypatch.setattr(linalg, "_primes", refuse)
     assert [inverse(H), inverse(weighted)] == expected
 
 
@@ -263,36 +310,37 @@ def _counting_lifting(monkeypatch):
     kernel = linalg._lifted_inverse
     monkeypatch.setattr(
         linalg, "_lifted_inverse",
-        lambda num, bound: calls.append(num.shape) or kernel(num, bound),
+        lambda num, *rest: calls.append(num.shape) or kernel(num, *rest),
     )
     return calls
 
 
 def test_non_diagonal_gram_takes_elimination(monkeypatch):
     """A matrix whose rows are not orthogonal takes the elimination mod p
-    and its p-adic lifting, which decide both of these without Bareiss."""
+    and its p-adic lifting, which decide both of these at the first prime."""
     near_miss = [list(row) for row in _sylvester(16).entries]
     near_miss[5][9] = Fraction(2)
     near_miss = Matrix.rational(near_miss)
     rng = random.Random(24)
     dense = Matrix.rational(_random_rows(rng, 12, 12, 12))
     calls = _counting_lifting(monkeypatch)
-    eliminations = _counting_bareiss(monkeypatch)
+    primes = _counting_primes(monkeypatch)
     assert inverse(near_miss) == _oracle_inverse(near_miss)
     assert inverse(dense) == _oracle_inverse(dense)
     assert calls == [(16, 16), (12, 12)]
-    assert eliminations == []
+    assert primes == [1, 1]
 
 
 def test_zero_rows_keep_singular_message(monkeypatch):
     """A zero row takes the elimination, also where N N^T has exactly n
-    nonzero entries, two of them off the diagonal."""
-    calls = _counting_bareiss(monkeypatch)
+    nonzero entries, two of them off the diagonal, and the first prime
+    certifies the column without a pivot."""
+    calls = _counting_primes(monkeypatch)
     with pytest.raises(SingularMatrixError, match="no pivot in column 2"):
         inverse(Matrix.rational([[1, 1], [0, 0]]))
     with pytest.raises(SingularMatrixError, match="no pivot in column 3"):
         inverse(Matrix.rational([[1, 1, 0, 0], [1, 0, 0, 0], [0] * 4, [0] * 4]))
-    assert calls == [(2, 4), (4, 8)]
+    assert calls == [1, 1]
 
 
 def _full_gram_decision(S):
@@ -519,19 +567,20 @@ def _kernel_systems():
 
 
 def test_integer_kernel_matches_the_inline_read():
+    """``integer_kernel`` gives the inline read divided by the gcd of its
+    entries, and leaves its argument as it was."""
     events = set()
     big = False
     for rows in _kernel_systems():
         n = len(rows[0])
         got = np.array(rows, dtype=object)
-        expected = np.array(rows, dtype=object)
         k = integer_kernel(got)
-        oracle = _inline_kernel(expected, events)
-        assert got.tolist() == expected.tolist()
+        oracle = _inline_kernel(np.array(rows, dtype=object), events)
+        assert got.tolist() == rows
         if oracle is None:
             assert k is None
             continue
-        assert k.tolist() == oracle.tolist()
+        assert k.tolist() == (oracle // math.gcd(*oracle.tolist())).tolist()
         assert all(type(v) is int for v in k.tolist())
         # A positive multiple of the Fraction oracle's kernel vector, whose
         # free entry is 1: so k's free entry is positive.

@@ -2,9 +2,10 @@
 `linalg`, `cones` and `indexing` import numpy, so the array format stays
 behind `linalg` (`cones` pivots its simplex tableau as an integer array,
 and `indexing` takes index grids elementwise: 1-D integer grids, not the
-matrix array format that `linalg` hides), only `linalg` reads a Bareiss
-elimination or picks int64 storage, so `cones` asks `integer_kernel` and
-`integer_array`, the `entries` view
+matrix array format that `linalg` hides), only `linalg` works in the
+prime field or picks int64 storage, so `cones` asks `integer_kernel` and
+`integer_array`, no module defines or names Bareiss's elimination, which
+lives on only as a test oracle, the `entries` view
 is read only by its own members, an `IntegerForm` is built only by the
 two rational constructors, `perron` asks whether S is square only in
 `_checked_inverse`, no module reaches numpy's `kron`, so `linalg._kron`
@@ -394,20 +395,20 @@ def test_the_scan_sees_a_relative_import():
     assert _names_imported_from(source, "perron") == ["_kron_certificate", "in_spectracone"]
 
 
-# Only `linalg` reads a Bareiss elimination's echelon layout, knows the
-# int64 and float64 thresholds or works in the prime field: every other
-# module asks `integer_kernel` for a kernel vector, `integer_array` for an
-# integer array's storage and `inverse` for an inverse.
+# Only `linalg` knows the int64 and float64 thresholds or works in the
+# prime field: every other module asks `integer_kernel` for a kernel
+# vector, `integer_array` for an integer array's storage and `inverse` for
+# an inverse.
 LINALG_ONLY_NAMES = [
-    "bareiss_eliminate",
     "_INT64_SAFE",
     "_FLOAT64_EXACT",
     "_PRIME",
+    "_primes",
     "_exact_matmul_by",
-    "_inverse_mod_prime",
+    "_profile_mod_prime",
     "_reconstructed_denominator",
     "_lifted_inverse",
-    "_eliminated_inverse",
+    "_rank_profile",
 ]
 
 
@@ -444,3 +445,33 @@ def test_the_scan_sees_a_name_reference(name):
         f"x = {name} < 1\n"
     )
     assert _name_references(source, name) == [(1, None), (3, "f"), (5, "g"), (6, None)]
+
+
+def _definitions(source: str, name: str):
+    """The line of each function or class that defines ``name``."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name == name
+    ]
+
+
+def test_no_module_defines_or_names_bareiss_eliminate():
+    """The prime field is the library's one exact elimination: Bareiss's
+    lives on only as the oracle in ``tests/test_bareiss.py``."""
+    sites = [
+        (path.name, site)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for scan in (_definitions, _name_references)
+        for site in scan(path.read_text(encoding="utf-8"), "bareiss_eliminate")
+    ]
+    assert sites == []
+
+
+def test_the_scan_sees_a_definition():
+    source = (
+        "def f(M):\n    def bareiss_eliminate(M):\n        return M\n"
+        "class bareiss_eliminate:\n    pass\n"
+    )
+    assert sorted(_definitions(source, "bareiss_eliminate")) == [2, 4]

@@ -1,13 +1,14 @@
 """Differential tests of the rational ``inverse``'s p-adic lifting.
 
 A matrix whose numerator rows are not orthogonal is inverted mod the prime
-p = 1048573 and lifted (``linalg._lifted_inverse``); ``bareiss_eliminate``
-decides only what the prime field cannot: a singular matrix, a determinant
-divisible by p, or a lifted result that fails its bound test.  The oracles
-are the Fraction Gauss-Jordan loop of ``test_bareiss`` and the inverse read
-off ``bareiss_eliminate`` on ``[N | I]``, as ``inverse`` formed every dense
-inverse before the lifting.  Outcomes compare the whole canonical state
-(numerator dtype, denominator, bound and numerators) or the exception.
+p = 1048573 and lifted (``linalg._lifted_inverse``).  A singular matrix is
+decided by the certified rank profile at the same prime, and a determinant
+divisible by p, or a lifted result that fails its bound test, takes the
+next prime.  The oracles are the Fraction Gauss-Jordan loop of
+``test_bareiss`` and the inverse read off ``test_bareiss.bareiss_eliminate``
+on ``[N | I]``, as ``inverse`` formed every dense inverse before the
+lifting.  Outcomes compare the whole canonical state (numerator dtype,
+denominator, bound and numerators) or the exception.
 """
 import math
 import random
@@ -18,8 +19,8 @@ import numpy as np
 import pytest
 
 from perronkron import linalg
-from perronkron.linalg import Matrix, SingularMatrixError, bareiss_eliminate, inverse
-from test_bareiss import _counting_bareiss, _oracle_inverse, _random_rows
+from perronkron.linalg import Matrix, SingularMatrixError, inverse
+from test_bareiss import _counting_primes, _oracle_inverse, _random_rows, bareiss_eliminate
 
 P = 1048573
 
@@ -70,12 +71,13 @@ def test_lifting_matches_both_oracles_on_seeded_matrices(monkeypatch, n):
     expected = [_outcome(_bareiss_inverse, S) for S in cases]
     if n <= 12:
         assert expected == [_outcome(_oracle_inverse, S) for S in cases]
-    calls = _counting_bareiss(monkeypatch)
+    calls = _counting_primes(monkeypatch)
     assert [_outcome(inverse, S) for S in cases] == expected
     singular = [isinstance(e, str) for e in expected]
-    # Every third case is rank deficient; only singular cases reach Bareiss.
+    # Every third case is rank deficient; the first prime decides each case
+    # whose rows are not orthogonal.
     assert all(singular[::3])
-    assert calls == [(n, 2 * n)] * sum(singular)
+    assert calls == [1] * sum(map(_not_orthogonal, cases))
 
 
 def _unimodular(rng, n, upper):
@@ -100,15 +102,15 @@ def _prime_determinant_cases():
 
 
 @pytest.mark.parametrize("name, S", list(_prime_determinant_cases()))
-def test_determinant_divisible_by_the_prime_takes_one_elimination(monkeypatch, name, S):
+def test_determinant_divisible_by_the_prime_takes_the_next_prime(monkeypatch, name, S):
     assert _not_orthogonal(S)
     _, det = bareiss_eliminate(S.array_form().num.astype(object))
     assert det % P == 0
     expected = _outcome(_oracle_inverse, S)
     assert expected == _outcome(_bareiss_inverse, S)
-    calls = _counting_bareiss(monkeypatch)
+    calls = _counting_primes(monkeypatch)
     assert _outcome(inverse, S) == expected
-    assert calls == [(S.nrows, 2 * S.nrows)]
+    assert calls == [2]
 
 
 def _spy_products(monkeypatch):
@@ -140,10 +142,10 @@ def test_large_entries_lift_through_integer_product(monkeypatch, magnitude, dtyp
         assert form.num.dtype == (object if magnitude >= 2**62 else np.int64)
         expected = _outcome(_oracle_inverse, S)
         assert not isinstance(expected, str)
-        calls = _counting_bareiss(monkeypatch)
+        calls = _counting_primes(monkeypatch)
         seen = _spy_products(monkeypatch)
         assert _outcome(inverse, S) == expected
-        assert calls == []
+        assert calls == [1]
         # The products num X_i and the residual update both carry n bound p.
         lifting = [kind for bound, kind in seen if bound == n * form.bound * P]
         assert len(lifting) >= 2 and set(lifting) == {dtype}
@@ -159,9 +161,9 @@ def test_denominators_near_2_to_70(monkeypatch):
         )
         expected = _outcome(_oracle_inverse, S)
         assert expected == _outcome(_bareiss_inverse, S)
-        calls = _counting_bareiss(monkeypatch)
+        calls = _counting_primes(monkeypatch)
         assert _outcome(inverse, S) == expected
-        assert calls == [(n, 2 * n)] * isinstance(expected, str)
+        assert calls == [1] * _not_orthogonal(S)
         monkeypatch.undo()
 
 
@@ -183,9 +185,9 @@ def test_column_zero_gives_a_proper_divisor_of_the_denominator(monkeypatch):
         linalg, "_reconstructed_denominator",
         lambda r, m, limit: reconstructed.append(r) or reconstruct(r, m, limit),
     )
-    calls = _counting_bareiss(monkeypatch)
+    calls = _counting_primes(monkeypatch)
     assert _outcome(inverse, S) == _outcome(lambda _: expected, S)
-    assert calls == []
+    assert calls == [1]
     assert len(reconstructed) >= 2
 
 
@@ -194,18 +196,23 @@ def test_column_zero_gives_a_proper_divisor_of_the_denominator(monkeypatch):
     pytest.param(lambda b: b + 1, id="off-by-one"),
     pytest.param(lambda b: None, id="none"),
 ])
-def test_a_wrong_reconstruction_falls_back_to_bareiss(monkeypatch, wrong):
+def test_a_wrong_reconstruction_takes_the_next_prime(monkeypatch, wrong):
+    """The reconstruction goes wrong at the first prime only, where the
+    modulus is a power of P; the next prime gives the exact inverse."""
     rng = random.Random(8)
     S = Matrix.rational(_workload_rows(rng, 8))
     assert _not_orthogonal(S)
     expected = _outcome(_oracle_inverse, S)
     reconstruct = linalg._reconstructed_denominator
-    monkeypatch.setattr(
-        linalg, "_reconstructed_denominator", lambda r, m, limit: wrong(reconstruct(r, m, limit))
-    )
-    calls = _counting_bareiss(monkeypatch)
+
+    def at_first_prime(r, m, limit):
+        b = reconstruct(r, m, limit)
+        return wrong(b) if m % P == 0 else b
+
+    monkeypatch.setattr(linalg, "_reconstructed_denominator", at_first_prime)
+    calls = _counting_primes(monkeypatch)
     assert _outcome(inverse, S) == expected
-    assert calls == [(8, 16)]
+    assert calls == [2]
 
 
 def test_reconstruction_finds_each_fraction_within_the_limit():
