@@ -32,7 +32,13 @@ complex value that is not finite.  ``_cleared`` and ``_lowest_terms``
 alone build an ``IntegerForm``, ``integer_array`` stores an integer array
 in int64 or on Python ints by its bound, for the state and for the simplex
 tableau in ``cones``, and ``integer_product`` runs each integer operation
-in int64 or on Python ints.
+exactly, by one rule read off the bound of its partial results: a matmul
+below 2**53 is formed in float64 from tiles small enough for one thread,
+where every partial sum is an integer a double holds (J.-G. Dumas, P.
+Giorgi & C. Pernet, "Dense linear algebra over word-size prime fields:
+the FFLAS and FFPACK packages", ACM Trans. Math. Softw. 35(3) (2008)),
+any operation below 2**62 runs in int64, and every other one on Python
+ints.
 Every product of arrays is formed by ``_product``, which holds the
 per-mode product: matmul, ``kron``, ``face_split``, ``scale_columns`` and
 ``scale``, which multiplies by the one-entry vector of its scalar.  Only
@@ -56,16 +62,13 @@ prime where that one fails, gives the pivot columns P and rows R.  The
 block B of the pivot rows and columns is then nonsingular, and its
 inverse mod p is lifted p-adically to the exact B^-1 = Y / d (J. D.
 Dixon, "Exact solution of linear equations using p-adic expansions",
-Numer. Math. 40 (1982)), each product in float64 BLAS while its partial
-sums stay below 2**53, as in J.-G. Dumas, P. Giorgi & C. Pernet, "Dense
-linear algebra over word-size prime fields: the FFLAS and FFPACK
-packages", ACM Trans. Math. Softw. 35(3) (2008).  Rational reconstruction
-gives d, one comparison of integers proves Y exact, and one exact product
-proves each column without a pivot a combination of the pivot columns
-left of it.  The rational ``inverse`` reads the profile of its numerator
-array ``N``, which is the inverse at full rank and names the first
-column without a pivot otherwise, and ``integer_kernel`` reads the kernel
-vector of the ray scan in ``cones``.  Fraction-free elimination (E. H.
+Numer. Math. 40 (1982)), each product by ``integer_product``.  Rational
+reconstruction gives d, one comparison of integers proves Y exact, and
+one exact product proves each column without a pivot a combination of
+the pivot columns left of it.  The rational ``inverse`` reads the
+profile of its numerator array ``N``, which is the inverse at full rank
+and names the first column without a pivot otherwise, and
+``integer_kernel`` reads the kernel vector of the ray scan in ``cones``.  Fraction-free elimination (E. H.
 Bareiss, Math. Comp. 22 (1968)) is the tests' oracle; its ``rank_one``
 update pivots the simplex tableau in ``cones``.
 The rational ``inverse`` takes a closed form when ``N`` has pairwise
@@ -89,11 +92,8 @@ H_2n = [[H_n, H_n], [H_n, -H_n]]; with 0-based indices its entry (i, j) is
 (i, j) of H diag(x) H^{-1} is therefore (H x)[i XOR j] / n, and x is in
 the spectracone of H iff H x >= 0 (C. R. Johnson & P. Paparella, "Perron
 spectratopes and the real nonnegative inverse eigenvalue problem", Linear
-Algebra Appl. (2016)).  ``is_sylvester`` recognises H_n exactly and
-``walsh_hadamard`` forms H x for every row x at once by the fast
-Walsh-Hadamard transform, log2(n) butterfly passes of integer adds (M. A.
-Fino & V. R. Algazi, "Unified matrix treatment of the fast Walsh-Hadamard
-transform", IEEE Trans. Comput. C-25 (1976)).
+Algebra Appl. (2016)).  ``is_sylvester`` recognises H_n exactly, and
+``perron.in_spectracone`` decides by the one exact product H x.
 """
 from __future__ import annotations
 
@@ -199,6 +199,15 @@ class IntegerForm(NamedTuple):
 # can overflow; otherwise Python big integers (numpy object arrays) take over.
 _INT64_SAFE = 2**62
 
+# Every integer up to this magnitude is a float64.
+_FLOAT64_EXACT = 2**53
+
+# The side of the tiles a float64 product is formed from.  OpenBLAS keeps a
+# product on one thread while m * n * k is at most 4 * 65536, its default
+# threshold, which 64**3 meets; a whole product of order 128 would wake a
+# second thread, and that thread spins on after the call.
+_TILE = 64
+
 
 def _cleared(
     ps: Sequence[int], qs: Sequence[int], shape, index: Optional[Iterable[int]] = None
@@ -233,16 +242,42 @@ def integer_array(values, bound: int) -> np.ndarray:
 def integer_product(op, *operands, bound: int) -> np.ndarray:
     """``op(*operands)`` on integer arrays and Python ints, exact.
 
-    ``bound`` must bound the magnitude of every partial result.  The
-    operation runs in int64 when ``bound`` and every int operand are below
-    ``_INT64_SAFE``, and on Python ints otherwise.  An int operand counts
-    on its own, because numpy casts it to int64 even where the array it
-    multiplies is zero.
+    ``bound`` must bound the magnitude of every partial result, and it
+    alone picks the arithmetic.  ``np.matmul`` of two integer arrays, the
+    right one a matrix or a vector, is formed in float64 by
+    ``_tiled_matmul`` and cast back to int64 when ``bound`` is below
+    2**53: every partial sum is then an integer a double holds, so no order
+    of summation rounds.  An entry above ``bound`` in magnitude meets only
+    zeros, so a Python-int entry is clipped to ``bound`` first: a float
+    cannot hold every Python int.  Otherwise the operation runs in int64 when ``bound`` and
+    every int operand are below ``_INT64_SAFE``, and on Python ints
+    otherwise.  An int operand counts on its own, because numpy casts it to
+    int64 even where the array it multiplies is zero.
     """
+    if op is np.matmul and bound < _FLOAT64_EXACT:
+        a, b = (np.clip(v, -bound, bound) if v.dtype == object else v for v in operands)
+        return _tiled_matmul(a.astype(float), b.astype(float)).astype(np.int64)
     scalars = (abs(v) for v in operands if isinstance(v, int))
     if bound < _INT64_SAFE and all(s < _INT64_SAFE for s in scalars):
         return op(*operands)
     return op(*(v.astype(object) if isinstance(v, np.ndarray) else v for v in operands))
+
+
+def _tiled_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` for a float64 matrix ``a`` and a float64 matrix or vector
+    ``b``, summed from products of tiles at most ``_TILE`` on a side; a
+    vector is taken as one column."""
+    if b.ndim == 1:
+        return _tiled_matmul(a, b[:, None])[:, 0]
+    t = _TILE
+    if max(a.shape + b.shape) <= t:
+        return a @ b
+    out = np.zeros((len(a), b.shape[1]))
+    for i in range(0, len(a), t):
+        for j in range(0, b.shape[1], t):
+            for k in range(0, len(b), t):
+                out[i : i + t, j : j + t] += a[i : i + t, k : k + t] @ b[k : k + t, j : j + t]
+    return out
 
 
 def _lowest_terms(num: np.ndarray, den: int) -> IntegerForm:
@@ -662,32 +697,6 @@ def is_sylvester(S: Matrix) -> bool:
     return np.array_equal(num, H)
 
 
-def walsh_hadamard(x: Union[Vector, Matrix]) -> Union[Vector, Matrix]:
-    """H_n x for a rational vector x of power-of-two length n, or for a
-    matrix, each row x_b as H_n x_b (H_n is symmetric): exact, by the fast
-    Walsh-Hadamard transform.  No entry of a pass exceeds n times the bound
-    of x, so it runs in int64 when that is below ``_INT64_SAFE`` and on
-    Python ints otherwise."""
-    n = x._values.shape[-1]
-    if x.mode != RATIONAL or n & (n - 1):
-        raise ValueError("the Walsh-Hadamard transform takes rational rows of power-of-two length")
-    num, _, bound = x._state
-    return x._with_values(type(x), integer_product(_butterflies, num, bound=n * bound))
-
-
-def _butterflies(a: np.ndarray) -> np.ndarray:
-    """Each row of ``a`` (a vector is one row) times H_n, n its length: pass
-    h = 1, 2, 4, ... replaces each pair (u, v) of entries h apart, within
-    blocks of 2h, by (u + v, u - v)."""
-    shape, n, h = a.shape, a.shape[-1], 1
-    while h < n:
-        pairs = a.reshape(-1, n // (2 * h), 2, h)
-        u, v = pairs[:, :, 0], pairs[:, :, 1]
-        a = np.stack((u + v, u - v), axis=2)
-        h *= 2
-    return a.reshape(shape)
-
-
 def rank_one(block: np.ndarray, p, f: np.ndarray, pivot: np.ndarray) -> np.ndarray:
     """``p * block - outer(f, pivot)``: each row of ``block`` times ``p`` (a
     scalar, or a column with one factor per row) minus its entry of ``f``
@@ -698,42 +707,6 @@ def rank_one(block: np.ndarray, p, f: np.ndarray, pivot: np.ndarray) -> np.ndarr
 # The first prime of the exact elimination: the largest below 2**20, so that
 # a product of two residues is below 2**40 and three digits pack below 2**60.
 _PRIME = 1048573
-
-# Every integer up to this magnitude is a float64.
-_FLOAT64_EXACT = 2**53
-
-# The side of the tiles a float64 product is formed from.  OpenBLAS keeps a
-# product on one thread while m * n * k is at most 4 * 65536, its default
-# threshold, which 64**3 meets; a whole product of order 128 would wake a
-# second thread, and that thread spins on after the call.
-_TILE = 64
-
-
-def _exact_matmul_by(a: np.ndarray, bound: int) -> Callable[[np.ndarray], np.ndarray]:
-    """The exact product ``b -> a @ b`` of integer matrices, where
-    ``bound`` bounds every partial sum.  Below 2**53 it is a float64
-    product cast back to int64: every partial sum is an integer a double
-    holds, so no order of summation rounds.  Otherwise ``integer_product``
-    forms it."""
-    if bound < _FLOAT64_EXACT:
-        a = a.astype(float)
-        return lambda b: _tiled_matmul(a, b.astype(float)).astype(np.int64)
-    return lambda b: integer_product(np.matmul, a, b, bound=bound)
-
-
-def _tiled_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a @ b`` for float64 matrices, summed from products of tiles at most
-    ``_TILE`` on a side."""
-    t = _TILE
-    if max(a.shape + b.shape) <= t:
-        return a @ b
-    out = np.zeros((len(a), b.shape[1]))
-    for i in range(0, len(a), t):
-        for j in range(0, b.shape[1], t):
-            for k in range(0, len(b), t):
-                out[i : i + t, j : j + t] += a[i : i + t, k : k + t] @ b[k : k + t, j : j + t]
-    return out
-
 
 def _primes() -> Iterator[int]:
     """``_PRIME`` and then the odd primes below it in descending order,
@@ -798,14 +771,14 @@ def _lifted_inverse(
 
     With R_0 = I, each step takes the digit X_i = C (R_i mod p) mod p and
     the residual R_{i+1} = (R_i - num X_i) / p, an exact division, with
-    |R_i| <= n bound; after k steps X = sum X_i p**i satisfies num X = I mod m = p**k.  Both
-    products take float64 while their bounds, n p**2 and n bound p, are
-    below 2**53, and ``integer_product`` otherwise.  Three digits pack into
-    one int64 word as they arrive (p**3 < 2**60), and the words become
-    Python ints once, by Horner's rule.  k is the least with
-    m > 2 H**2 n bound, for the Hadamard bound H on |det num| and on every
-    cofactor, so the reduced entries a/b of num^-1, |a|, b <= H, are within
-    the reconstruction limit L = isqrt((m - 1) / 2).
+    |R_i| <= n bound; after k steps X = sum X_i p**i satisfies
+    num X = I mod m = p**k.  Each product is one ``integer_product``, with
+    the bound n p**2 or n bound p, so float64 while that is below 2**53.
+    Three digits pack into one int64 word as they arrive (p**3 < 2**60),
+    and the words become Python ints once, by Horner's rule.  k is the
+    least with m > 2 H**2 n bound, for the Hadamard bound H on |det num|
+    and on every cofactor, so the reduced entries a/b of num^-1,
+    |a|, b <= H, are within the reconstruction limit L = isqrt((m - 1) / 2).
 
     The denominator d starts at 1, and Y is the symmetric residue of d X
     mod m.  Column by column, while an entry of the column of Y exceeds L,
@@ -823,16 +796,14 @@ def _lifted_inverse(
     k, m = 1, p
     while m <= target:
         k, m = k + 1, m * p
-    by_inverse = _exact_matmul_by(inverse_mod_p, n * p**2)
-    by_num = _exact_matmul_by(num, n * bound * p)
+    top = n * bound * p  # bounds num X_i and the residual
     residual = np.identity(n, dtype=np.int64)
     words: List[np.ndarray] = []
     for i in range(k):
         if i:
-            residual = integer_product(
-                lambda r, s: (r - s) // p, residual, by_num(digit), bound=n * bound * p
-            )
-        digit = by_inverse((residual % p).astype(np.int64)) % p
+            step = integer_product(np.matmul, num, digit, bound=top)
+            residual = integer_product(lambda r, s: (r - s) // p, residual, step, bound=top)
+        digit = integer_product(np.matmul, inverse_mod_p, residual % p, bound=n * p**2) % p
         if i % 3:
             words[-1] += digit * p ** (i % 3)
         else:
@@ -940,9 +911,9 @@ def inverse(S: Matrix) -> Matrix:
     with no zero on its diagonal g, S^{-1} = d N^T diag(1/g): ``N^T`` with
     its columns scaled by the vector that ``from_pairs`` builds of the
     pairs d / g_j; ``_orthogonal_row_norms`` decides that from row 0 of G
-    and then all of G, each one integer product, int64 unless it could
-    overflow.  Otherwise ``_rank_profile`` eliminates N in a prime field
-    and certifies its rank profile.  At full rank it gives Y and D > 0 with
+    and then all of G, each one ``integer_product``, in float64 tiles while
+    its bound is below 2**53.  Otherwise ``_rank_profile`` eliminates N in
+    a prime field and certifies its rank profile.  At full rank it gives Y and D > 0 with
     N Y = D I by p-adic lifting, and S^{-1} = d Y / D, the same canonical
     result as the closed form; below full rank the first column without a
     pivot is named.  A zero row takes the elimination.  Complex mode keeps

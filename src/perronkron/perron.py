@@ -49,7 +49,6 @@ from .linalg import (
     matrices_close,
     ones_vector,
     vector_is_nonneg,
-    walsh_hadamard,
 )
 
 
@@ -63,7 +62,7 @@ class PerronWitness(NamedTuple):
 # Most image entries one stacked membership product of the dense path may
 # hold; it sets how many rows of a matrix x ``in_spectracone`` decides at
 # once.  The Sylvester path forms no image: for S = H_n its entry (i, j)
-# is (H_n x)[i XOR j] / n.
+# is (H_n x)[i XOR j] / n, and one product H_n x of every row decides.
 _CHUNK_ENTRIES = 2**14
 
 # What ``similarity_image`` and ``in_spectracone`` say of a non-square S.
@@ -128,15 +127,15 @@ def in_spectracone(
     ``sinv`` of S's shape.  When S is the Sylvester Hadamard matrix H_n
     (``is_sylvester``) and ``sinv`` is exactly H_n / n, entry (i, j) of
     H_n diag(x) H_n^{-1} is (H_n x)[i XOR j] / n, so x is a member iff
-    H_n x >= 0: one exact ``walsh_hadamard`` of every row decides, and no
-    image is formed.
+    H_n x >= 0: one exact product decides, S x for a vector and x S for
+    stacked rows (H_n is symmetric), and no image is formed.
     Otherwise the rows are decided in chunks, each by one stacked
     ``similarity_image`` of at most ``_CHUNK_ENTRIES`` entries (or of one
     row), and the first chunk that fails decides.
     """
     sinv = _checked_inverse(S, sinv, x, _IMAGE_SQUARE)
     if is_sylvester(S) and sinv == S.scale(Fraction(1, S.nrows)):
-        return is_entrywise_nonneg(walsh_hadamard(x))
+        return is_entrywise_nonneg(S @ x if isinstance(x, Vector) else x @ S)
     if isinstance(x, Vector):
         return is_entrywise_nonneg(similarity_image(S, x, sinv), tol)
     chunk = max(1, _CHUNK_ENTRIES // S.nrows**2)

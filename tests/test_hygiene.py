@@ -404,7 +404,6 @@ LINALG_ONLY_NAMES = [
     "_FLOAT64_EXACT",
     "_PRIME",
     "_primes",
-    "_exact_matmul_by",
     "_profile_mod_prime",
     "_reconstructed_denominator",
     "_lifted_inverse",
@@ -465,6 +464,23 @@ def test_no_module_defines_or_names_bareiss_eliminate():
         for path in sorted(PACKAGE.glob("*.py"))
         for scan in (_definitions, _name_references)
         for site in scan(path.read_text(encoding="utf-8"), "bareiss_eliminate")
+    ]
+    assert sites == []
+
+
+# Exact integer matmuls are all ``integer_product(np.matmul, ...)``, and
+# the Sylvester membership test is one such product: the transform and the
+# lifting's own product are gone.
+REMOVED_PRODUCTS = ["walsh_hadamard", "_butterflies", "_exact_matmul_by"]
+
+
+@pytest.mark.parametrize("name", REMOVED_PRODUCTS)
+def test_no_module_defines_or_names_a_removed_product(name):
+    sites = [
+        (path.name, site)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for scan in (_definitions, _name_references)
+        for site in scan(path.read_text(encoding="utf-8"), name)
     ]
     assert sites == []
 

@@ -242,23 +242,26 @@ def test_no_stacked_product_exceeds_the_entry_budget(monkeypatch):
 
 def test_the_suite_forms_no_stacked_image_of_a_sylvester_pair(monkeypatch):
     """The suite's own run, spied with the recogniser on: every rational
-    catalog pair is a Sylvester H_n, decided by one transform of its 200
-    samples, and no similarity image is formed."""
-    images, transformed = [], []
-    image, transform = perron.similarity_image, perron.walsh_hadamard
+    catalog pair is a Sylvester H_n, decided by one product of its 200
+    samples with H_n, and no similarity image is formed."""
+    images, products = [], []
+    image, matmul = perron.similarity_image, Matrix.__matmul__
+    pairs = catalog_pairs()
+    sylvester = [pd.K for pd in pairs.values() if pd.K.mode == "rational"]
 
     def spy_image(S, x, sinv=None):
         images.append(x)
         return image(S, x, sinv)
 
-    def spy_transform(x):
-        transformed.append(x.nrows)
-        return transform(x)
+    def spy_matmul(self, other):
+        if any(other is K for K in sylvester):
+            products.append(self.nrows)
+        return matmul(self, other)
 
     monkeypatch.setattr(perron, "similarity_image", spy_image)
-    monkeypatch.setattr(perron, "walsh_hadamard", spy_transform)
+    monkeypatch.setattr(Matrix, "__matmul__", spy_matmul)
     findings = {}
-    verification._check_kron_membership(findings, catalog_pairs(), random.Random(1))
+    verification._check_kron_membership(findings, pairs, random.Random(1))
     assert list(findings.values()) == [True, True]
     assert images == []
-    assert transformed == [200] * 9
+    assert products == [200] * 9

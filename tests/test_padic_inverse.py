@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 from perronkron import linalg
+from perronkron.families import hadamard_like
 from perronkron.linalg import Matrix, SingularMatrixError, inverse
 from test_bareiss import _counting_primes, _oracle_inverse, _random_rows, bareiss_eliminate
 
@@ -228,34 +229,117 @@ def test_reconstruction_finds_each_fraction_within_the_limit():
             assert linalg._reconstructed_denominator(a * pow(b, -1, m) % m, m, limit) == b
 
 
+def _spy_tiles(monkeypatch):
+    """The operand shapes of each ``_tiled_matmul`` call."""
+    seen = []
+    tiled = linalg._tiled_matmul
+
+    def spy(a, b):
+        seen.append((a.shape, b.shape))
+        return tiled(a, b)
+
+    monkeypatch.setattr(linalg, "_tiled_matmul", spy)
+    return seen
+
+
 @pytest.mark.parametrize("bound, floats", [(2**53 - 1, True), (2**53, False)])
 def test_float64_products_stop_below_2_to_53(monkeypatch, bound, floats):
     """Entries near sqrt(2**53 / n) give partial sums just below 2**53: the
     float64 product is exact there, and at a bound of 2**53 the product
-    goes to ``integer_product``."""
+    is formed in int64."""
     rng = random.Random(53)
     n = 4
     top = math.isqrt((2**53 - 1) // n)
     entries = [rng.choice([1, -1]) * rng.randint(top - 99, top) for _ in range(2 * n * n)]
     a, b = np.array(entries, dtype=np.int64).reshape(2, n, n)
-    seen = _spy_products(monkeypatch)
-    got = linalg._exact_matmul_by(a, bound)(b)
+    tiles = _spy_tiles(monkeypatch)
+    got = linalg.integer_product(np.matmul, a, b, bound=bound)
     assert got.dtype == np.int64
     assert got.tolist() == (a.astype(object) @ b.astype(object)).tolist()
-    assert (seen == []) == floats
+    assert bool(tiles) == floats
+
+
+def _product_cases():
+    """(name, a, b, bound, dtype of the result, whether float64 tiles form
+    it); each bound is at least the inner dimension times the largest
+    entries of a and b."""
+    rng = np.random.default_rng(62)
+
+    def integers(shape, magnitude):
+        return rng.integers(-magnitude, magnitude, shape, endpoint=True)
+
+    for n in (4, 64, 65, 300):
+        yield f"vector-{n}", integers((n, n), P), integers(n, P), n * P * P, np.int64, True
+    for m in (200, 1600):
+        yield f"tall-{m}", integers((m, 8), 9), integers((8, 8), 1), 8 * 9, np.int64, True
+    for n in (65, 130):
+        a, b = integers((n, n), 2**20), integers((n, n), 2**20)
+        yield f"square-{n}", a, b, n * 2**40, np.int64, True
+    for m, n in ((5, 7), (70, 130)):
+        a, b = np.zeros((m, 0), dtype=np.int64), np.zeros((0, n), dtype=np.int64)
+        yield f"inner-0-{m}x{n}", a, b, 0, np.int64, True
+    a, b = integers((70, 6), 2**30).astype(object), integers((6, 3), 2**20)
+    yield "object", a, b, 6 * 2**50, np.int64, True
+    # Column 0 of a meets only the zero row 0 of b, so its Python ints
+    # beyond the largest float reach no partial result.
+    a, b = a.copy(), b.copy()
+    a[:, 0] = [(-1) ** i * 2**2000 for i in range(70)]
+    b[0] = 0
+    yield "object-beyond-floats", a, b, 6 * 2**50, np.int64, True
+    a, b = integers((66, 66), 2**23), integers((66, 2), 2**23)
+    yield "bound-2**53", a, b, 2**53, np.int64, False
+    a, b = integers((66, 66), 2**31), integers(66, 2**31)
+    yield "bound-66*2**62", a, b, 66 * 2**62, object, False
+    a = np.array([[(-1) ** (i * j) * 2**70 + i - j for j in range(3)] for i in range(3)])
+    b = integers((3, 3), 9)
+    yield "bound-3*9*2**70", a, b, 3 * 9 * (2**70 + 2), object, False
+
+
+PRODUCT_CASES = list(_product_cases())
+
+
+@pytest.mark.parametrize("name, a, b, bound, dtype, floats", PRODUCT_CASES,
+                         ids=[case[0] for case in PRODUCT_CASES])
+def test_every_integer_matmul_matches_the_python_int_product(
+    monkeypatch, name, a, b, bound, dtype, floats
+):
+    tiles = _spy_tiles(monkeypatch)
+    got = linalg.integer_product(np.matmul, a, b, bound=bound)
+    expected = a.astype(object) @ b.astype(object)
+    assert got.dtype == dtype
+    assert got.shape == expected.shape
+    assert got.tolist() == expected.tolist()
+    assert bool(tiles) == floats
+
+
+def _one_thread(product, repeats):
+    """Whether ``repeats`` calls of ``product`` take no more CPU time than
+    wall time.  A thread woken by an earlier product spins for a while
+    after it, so this first waits that out."""
+    time.sleep(0.5)
+    wall, cpu = time.perf_counter(), time.process_time()
+    for _ in range(repeats):
+        product()
+    return time.process_time() - cpu < 1.2 * (time.perf_counter() - wall)
 
 
 def test_float64_products_of_order_192_stay_on_one_thread():
     """The lifting's float64 products at order 192 are formed from tiles
     that OpenBLAS keeps on one thread: the process uses no more CPU time
-    than wall time.  A thread woken by an earlier product spins for a
-    while after it, so the test first waits that out."""
+    than wall time."""
     rng = np.random.default_rng(192)
     a, b = (rng.integers(0, P, (192, 192)) for _ in range(2))
-    product = linalg._exact_matmul_by(a, 192 * P**2)
-    assert product(b).tolist() == (a.astype(object) @ b.astype(object)).tolist()
-    time.sleep(0.5)
-    wall, cpu = time.perf_counter(), time.process_time()
-    for _ in range(20):
-        product(b)
-    assert time.process_time() - cpu < 1.2 * (time.perf_counter() - wall)
+    product = lambda: linalg.integer_product(np.matmul, a, b, bound=192 * P**2)  # noqa: E731
+    assert product().tolist() == (a.astype(object) @ b.astype(object)).tolist()
+    assert _one_thread(product, 20)
+
+
+def test_the_gram_product_of_h_256_stays_on_one_thread(monkeypatch):
+    """``inverse`` of Sylvester H_256 takes the closed form, whose Gram
+    product N N^T is formed in float64 tiles outside the lifting."""
+    H = hadamard_like(9)
+    tiles = _spy_tiles(monkeypatch)
+    assert inverse(H) == H.scale(Fraction(1, 256))
+    assert ((256, 256), (256, 256)) in tiles
+    monkeypatch.undo()
+    assert _one_thread(lambda: inverse(H), 5)

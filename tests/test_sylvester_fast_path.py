@@ -3,16 +3,15 @@ against the dense reference ``is_entrywise_nonneg(similarity_image(S, x,
 sinv))``.
 
 For the Sylvester Hadamard matrix H_n, entry (i, j) of H diag(x) H^{-1} is
-(H x)[i XOR j] / n, so ``in_spectracone`` decides x by one exact
-``linalg.walsh_hadamard`` once ``linalg.is_sylvester`` recognises S and
-``sinv`` is exactly S / n.  Every other input, a Hadamard matrix with two
+(H x)[i XOR j] / n, so ``in_spectracone`` decides x by one exact product
+H x once ``linalg.is_sylvester`` recognises S and ``sinv`` is exactly
+S / n.  Every other input, a Hadamard matrix with two
 rows swapped, 2 H, H in complex mode or H with a wrong ``sinv``, must take
 the dense path and get its verdict.
 """
 import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from perronkron import perron
@@ -25,7 +24,6 @@ from perronkron.linalg import (
     is_entrywise_nonneg,
     is_sylvester,
     kron,
-    walsh_hadamard,
 )
 
 TOL = Tolerance(1e-9)
@@ -149,23 +147,6 @@ def test_the_object_branch_agrees_with_the_dense_path(entries, member):
     assert perron.in_spectracone(H, X) is dense(H, X) is member
 
 
-def test_walsh_hadamard_is_the_product_with_h():
-    rng = random.Random(3)
-    for depth in range(1, 8):
-        H = Matrix.rational([[1]]) if depth == 1 else hadamard_like(depth)
-        n = H.nrows
-        for scale in (1, 2**60, 2**90):
-            X = points(rng, n, 3).scale(scale)
-            assert walsh_hadamard(X) == X @ H
-            assert walsh_hadamard(X.row(1)) == H @ X.row(1)
-
-
-def test_walsh_hadamard_refuses_what_it_cannot_transform():
-    for x in (Vector.rational([1, 2, 3]), Vector.complex_([1, 2])):
-        with pytest.raises(ValueError, match="power-of-two length"):
-            walsh_hadamard(x)
-
-
 def swapped(H, i, j):
     rows = [list(row) for row in H.entries]
     rows[i], rows[j] = rows[j], rows[i]
@@ -262,11 +243,19 @@ def test_wrong_inverses_change_some_verdict():
         assert [dense(H8, x, WRONG_INVERSES[name]) for x in cases] != right, name
 
 
-def test_walsh_hadamard_matches_a_float_product_at_order_1024():
-    """At the order cap, against a float64 product, exact here because
-    every partial sum is an integer far below 2**53."""
+def test_membership_at_order_1024_matches_the_python_int_product():
+    """At the order cap, with the inverse given as H / 1024: two seeded
+    rows, a row of H and the flipped row, one at a time and stacked,
+    against the sign of the Python-int product x H."""
     H = hadamard_like(11)
-    X = Matrix.rational([[random.Random(k).randint(-9, 9) for _ in range(1024)]
-                         for k in range(2)])
-    expected = X.array_form().num.astype(float) @ H.array_form().num.astype(float)
-    assert np.array_equal(walsh_hadamard(X).array_form().num, expected.astype(np.int64))
+    sinv = H.scale(Fraction(1, 1024))
+    rng = random.Random(1024)
+    X = Matrix.rational([[rng.randint(-9, 9) for _ in range(1024)] for _ in range(2)])
+    h = H.array_form().num.astype(object)
+    rows = [*X.rows(), H.row(5), flipped(H).row(0)]
+    expected = [bool((x.array_form().num.astype(object) @ h >= 0).all()) for x in rows]
+    assert expected == [False, False, True, False]
+    assert [perron.in_spectracone(H, x, TOL, sinv) for x in rows] == expected
+    stacked = Matrix.rational([x.entries for x in rows])
+    assert perron.in_spectracone(H, stacked, TOL, sinv) is all(expected) is False
+    assert perron.in_spectracone(H, H.row_block(4, 6), TOL, sinv) is True
